@@ -6,47 +6,34 @@
 //! 38.7 / 64.0 / 102.7 (the 2.7% headline); sorted double = 45.1 / 682.1
 //! / 727.2 (sorting is catastrophic).
 //!
-//! The engine's default pipeline is the fused zero-copy scan, so the
-//! first four columns measure it (materializing for the sorted baseline,
-//! which must sort its projected columns). The "buffered (matz)" column
-//! runs the same backend through the materializing reference pipeline —
-//! the allocation overhead the fusion removed — and the last column runs
-//! the fused pipeline morsel-parallel on the pool.
+//! Every column runs the Q1 plan on the fused zero-copy scan; the sorted
+//! baseline keeps each group's values and sorts them when it finalizes.
+//! The last column runs the buffered backend morsel-parallel on the pool.
 //!
 //! Phase accounting: "Scan" is selection + group-id + projection,
-//! "Aggregations" the SUM-state deposits and merges, "Other" sorting and
-//! finalization. The paper's Table IV folds our Scan into its "Other";
+//! "Aggregations" the SUM-state deposits and merges, "Other"
+//! finalization, which includes the sorted baseline's sort. The paper's Table IV folds our Scan into its "Other";
 //! compare paper "other" against Scan + Other. Table-view setup is
 //! zero-copy (Arc clones) and free — it no longer pollutes any phase.
 
 use rfa_bench::{BenchConfig, ResultTable};
 use rfa_core::CacheModel;
-use rfa_engine::{run_q1, run_q1_materializing, run_q1_par, PhaseTiming, SumBackend};
+use rfa_engine::{lineitem_table, q1_plan, ExecOptions, PhaseTiming, SumBackend, Table};
 use rfa_workloads::Lineitem;
 
-fn measure_with(
-    t: &Lineitem,
-    reps: usize,
-    run: impl Fn(&Lineitem) -> (Vec<rfa_engine::Q1Row>, PhaseTiming),
-) -> PhaseTiming {
-    // Take the run with the minimal total; keep its phase split.
-    let mut best = PhaseTiming::default();
-    let mut best_total = std::time::Duration::MAX;
-    let _warmup = run(t);
-    for _ in 0..reps {
-        let (_, timing) = run(t);
-        if timing.total() < best_total {
-            best_total = timing.total();
-            best = timing;
-        }
-    }
-    best
-}
-
-fn measure(t: &Lineitem, backend: SumBackend, reps: usize) -> PhaseTiming {
-    measure_with(t, reps, |t| {
-        run_q1(t, backend).expect("Q1 must not overflow")
-    })
+/// The fastest of `reps` warm runs, with its phase split.
+fn measure(t: &Table, backend: SumBackend, opts: &ExecOptions, reps: usize) -> PhaseTiming {
+    let plan = q1_plan();
+    let run = || {
+        plan.execute(t, backend, opts)
+            .expect("Q1 must not overflow")
+            .timing
+    };
+    let _warmup = run();
+    (0..reps)
+        .map(|_| run())
+        .min_by_key(PhaseTiming::total)
+        .unwrap_or_default()
 }
 
 fn main() {
@@ -55,25 +42,19 @@ fn main() {
     let bsz = CacheModel::default().buffer_size(6, 8, 0);
     let rows_n = cfg.n;
     println!("generating lineitem with {rows_n} rows ...");
-    let t = Lineitem::generate(rows_n, 1);
+    let t = lineitem_table(&Lineitem::generate(rows_n, 1));
+    let serial = ExecOptions::serial();
+    let buffered = SumBackend::ReproBuffered { buffer_size: bsz };
 
-    let double = measure(&t, SumBackend::Double, cfg.reps);
-    let unbuf = measure(&t, SumBackend::ReproUnbuffered, cfg.reps);
-    let buf = measure(&t, SumBackend::ReproBuffered { buffer_size: bsz }, cfg.reps);
-    let sorted = measure(&t, SumBackend::SortedDouble, cfg.reps);
-    // The materializing reference pipeline on the buffered backend: what
-    // the fused scan saves shows up in its Scan row.
-    let buf_matz = measure_with(&t, cfg.reps, |t| {
-        run_q1_materializing(t, SumBackend::ReproBuffered { buffer_size: bsz })
-            .expect("Q1 must not overflow")
-    });
+    let double = measure(&t, SumBackend::Double, &serial, cfg.reps);
+    let unbuf = measure(&t, SumBackend::ReproUnbuffered, &serial, cfg.reps);
+    let buf = measure(&t, buffered, &serial, cfg.reps);
+    let sorted = measure(&t, SumBackend::SortedDouble, &serial, cfg.reps);
     // Morsel-driven parallel fused scan + aggregation on the work-stealing
-    // pool (bit-identical to the serial fused column; phase times are
-    // summed across workers, i.e. CPU time like the paper reports).
+    // pool (bit-identical to the serial column; phase times are summed
+    // across workers, i.e. CPU time like the paper reports).
     let pool = rayon::current_num_threads();
-    let buf_par = measure_with(&t, cfg.reps, |t| {
-        run_q1_par(t, SumBackend::ReproBuffered { buffer_size: bsz }).expect("Q1 must not overflow")
-    });
+    let buf_par = measure(&t, buffered, &ExecOptions::parallel(), cfg.reps);
 
     let base = double.total().as_secs_f64();
     let pct = |d: std::time::Duration| format!("{:.1}", 100.0 * d.as_secs_f64() / base);
@@ -89,7 +70,6 @@ fn main() {
             "repro<d,4> unbuffered",
             "repro<d,4> buffered",
             "double (sorted)",
-            "buffered (matz)",
             &par_col,
         ],
     );
@@ -107,7 +87,6 @@ fn main() {
             pct(phase(&unbuf)),
             pct(phase(&buf)),
             pct(phase(&sorted)),
-            pct(phase(&buf_matz)),
             pct(phase(&buf_par)),
         ]);
     }
@@ -118,8 +97,7 @@ fn main() {
          buffered 38.7/64.0/102.7; sorted 45.1/682.1/727.2. Our Scan row is part of\n  \
          the paper's 'other'; compare paper other vs Scan + Other.\n  \
          shape to check: buffered overhead within a few %, unbuffered tens of %,\n  \
-         sorted several-fold slower end to end; 'buffered (matz)' pays extra Scan\n  \
-         for its n-sized gather/projection vectors. The parallel column is CPU time\n  \
+         sorted several-fold slower end to end. The parallel column is CPU time\n  \
          summed over the {pool}-worker pool — wall clock drops by ~the worker count\n  \
          on real multicore hardware, bit-identical output either way."
     );

@@ -1,12 +1,11 @@
 //! The fused zero-copy scan pipeline: batch-at-a-time
 //! filter → project → aggregate with no n-sized intermediates.
 //!
-//! The materializing pipeline (kept as `run_q1_materializing` /
-//! `run_q6_materializing` for reference and differential testing) walks
-//! the table three times before the §III kernel ever runs: it builds an
-//! n-sized selection vector, gathers every projected column into fresh
-//! vectors, and only then aggregates. This module instead walks the table
-//! once in fixed cache-resident batches ([`FUSED_BATCH_ROWS`] rows): each
+//! A materializing pipeline walks the table three times before the §III
+//! kernel ever runs: it builds an n-sized selection vector, gathers every
+//! projected column into fresh vectors, and only then aggregates. This
+//! module instead walks the table once in fixed cache-resident batches
+//! ([`FUSED_BATCH_ROWS`] rows): each
 //! batch is filtered into a small reused selection vector, projected
 //! through compiled expressions into reused scratch registers
 //! ([`crate::expr`]), and deposited straight into the per-group
@@ -52,10 +51,10 @@
 //! batched evaluation): the per-row expression dag is evaluated with the
 //! identical operations in the identical row order — batching only changes
 //! *when* rows are processed, never *what* is computed or in which order
-//! per accumulator slot. Every SUM slot therefore receives the
-//! same value sequence as in the materializing pipeline, so every backend
+//! per accumulator slot. Every SUM slot therefore receives the same value
+//! sequence as a row-at-a-time evaluation of the plan, so every backend
 //! — including order-sensitive plain doubles — finalizes to the same bits
-//! as serial materializing execution. The single-group fast path may swap
+//! as that evaluation. The single-group fast path may swap
 //! per-row deposits for the vectorized block kernel (`simd::add_slice`),
 //! which §III-D proves bit-transparent.
 //!
@@ -94,16 +93,15 @@
 //! fused executor deliberately runs [`SumBackend::Double`] serially at any
 //! requested thread count: the engine's answers are then independent of
 //! `threads` for every backend, which the proptests assert.
-//! [`SumBackend::SortedDouble`] is inherently materializing (it sorts the
-//! projected values) and is routed to the materializing pipeline by the
-//! query entry points, never reaching this executor.
+//! [`SumBackend::SortedDouble`] is that sort: its states keep each
+//! group's values and sort them at finalization, so its morsels merge by
+//! concatenation and it runs in parallel like the repro backends.
 
 use crate::column::{ColRef, Column, EncodingError, Table};
 use crate::expr::{
     advance_run, BoolExpr, BoundExpr, BoundPredicate, CompiledExpr, CompiledPredicate, EvalScratch,
     Expr,
 };
-use crate::q1::PhaseTiming;
 use crate::sum_op::{GroupedStates, OverflowError, SumBackend, SCAN_MORSEL_ROWS};
 use rayon::prelude::*;
 use rfa_agg::{AggHashTable, HashKind};
@@ -338,6 +336,25 @@ impl CancelCheck {
     }
 }
 
+/// CPU-time split of a query execution (Table IV's rows, with the scan
+/// broken out of the paper's "other" bucket).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PhaseTiming {
+    /// Selection, group-id computation and expression projection.
+    pub scan: Duration,
+    /// Deposits into the SUM states and their merges.
+    pub aggregation: Duration,
+    /// Everything else: finalization (including the sorted baseline's
+    /// sort) and output assembly.
+    pub other: Duration,
+}
+
+impl PhaseTiming {
+    pub fn total(&self) -> Duration {
+        self.scan + self.aggregation + self.other
+    }
+}
+
 /// Result of a fused scan: finalized per-state per-group values, group
 /// counts, the hash arm's group keys, and the CPU-time phase split (scan
 /// vs aggregation; summed across workers on the parallel path, like the
@@ -371,8 +388,8 @@ struct CompiledAggs {
 /// Panics if the query references a missing or mistyped column (queries
 /// reaching this executor are engine-internal; the plan layer validates
 /// user-built plans against the table first and surfaces `TableError`).
-/// Returns [`FusedError::Overflow`] exactly when the materializing
-/// pipeline would return [`OverflowError`], and the data-dependent
+/// Returns [`FusedError::Overflow`] exactly when a row-at-a-time
+/// deposit of the same rows would overflow, and the data-dependent
 /// [`FusedError::ReservedKey`] / [`FusedError::GroupIdOutOfBounds`] for
 /// inputs no up-front validation can rule out. Options are
 /// [`ExecOptions::normalized`] first, so zero fields mean "minimum"
@@ -383,10 +400,6 @@ pub fn run_fused(
     backend: SumBackend,
     opts: &ExecOptions,
 ) -> Result<FusedRun, FusedError> {
-    assert!(
-        backend != SumBackend::SortedDouble,
-        "SortedDouble is inherently materializing; route it to the materializing pipeline"
-    );
     let opts = opts.normalized();
     // Resolve the deadline to an absolute instant once, then check before
     // any work: a pre-cancelled token or a zero deadline fails here with a
@@ -436,7 +449,7 @@ pub fn run_fused(
     };
 
     let t0 = Instant::now();
-    let out = partial.states.finalize();
+    let out = partial.states.finalize()?;
     let mut timing = partial.timing;
     timing.other += t0.elapsed();
     Ok(FusedRun {
@@ -1678,8 +1691,28 @@ mod tests {
             .collect()
     }
 
+    /// Deposits row `r` of every SUM input `vals[s]` into dense group
+    /// `gids[r]`, one row at a time, and finalizes: (sums, counts).
+    fn deposit_rows(
+        backend: SumBackend,
+        gids: &[u32],
+        vals: &[Vec<f64>],
+        groups: usize,
+    ) -> (Vec<Vec<f64>>, Vec<u64>) {
+        let mut states = GroupedStates::new(backend, groups, vals.len(), 0, 0);
+        for (r, &g) in gids.iter().enumerate() {
+            states.add_counts(&[g]);
+            for (slot, v) in vals.iter().enumerate() {
+                states.update_sum(slot, &[g], &[v[r]]).unwrap();
+            }
+        }
+        let out = states.finalize().unwrap();
+        (out.sums, out.counts)
+    }
+
     /// Materializing reference: n-sized selection vector, Expr::eval,
-    /// sum_grouped — the pipeline fusion must be bit-identical to.
+    /// row-at-a-time deposits — the pipeline fusion must be
+    /// bit-identical to.
     fn reference(
         table: &Table,
         query: &FusedQuery,
@@ -1702,15 +1735,12 @@ mod tests {
                 unreachable!("hash reference is separate")
             }
         };
-        let sums = query
+        let vals: Vec<Vec<f64>> = query
             .sums
             .iter()
-            .map(|e| {
-                let vals = e.eval(table, &sel).unwrap();
-                crate::sum_op::sum_grouped(backend, &gids, &vals, groups).unwrap()
-            })
+            .map(|e| e.eval(table, &sel).unwrap())
             .collect();
-        (sums, crate::sum_op::count_grouped(&gids, groups))
+        deposit_rows(backend, &gids, &vals, groups)
     }
 
     #[test]
@@ -1719,6 +1749,7 @@ mod tests {
         let query = sample_query();
         for backend in [
             SumBackend::Double,
+            SumBackend::SortedDouble,
             SumBackend::ReproUnbuffered,
             SumBackend::ReproBuffered { buffer_size: 128 },
             SumBackend::Rsum { levels: 2 },
@@ -1785,8 +1816,9 @@ mod tests {
                 buffer_size: 32,
             },
         ] {
-            let ref_sums = crate::sum_op::sum_grouped(backend, &gids, &vals, 31).unwrap();
-            let ref_counts = crate::sum_op::count_grouped(&gids, 31);
+            let (ref_sums, ref_counts) =
+                deposit_rows(backend, &gids, std::slice::from_ref(&vals), 31);
+            let ref_sums = &ref_sums[0];
             for threads in [1usize, 2, 8] {
                 let opts = ExecOptions {
                     threads,

@@ -15,7 +15,7 @@
 //!   boolean predicates ([`BoolExpr`]) build branchless selection
 //!   vectors, with typed fast paths for `col ⟨cmp⟩ const` shapes;
 //! * [`sum_op`] — the grouped SUM operator with pluggable backends: plain
-//!   overflow-checked doubles (MonetDB behaviour), `repro<double, 4>`
+//!   overflow-checked doubles (MonetDB behaviour), `repro<double, L>`
 //!   with/without summation buffers, and the sorted-input baseline — all
 //!   reified as the incremental, mergeable [`GroupedSums`] state, composed
 //!   with exact COUNT and MIN/MAX arrays in [`GroupedStates`];
@@ -31,22 +31,26 @@
 //!   AST → name-resolution/type-check against a table's schema →
 //!   lowering onto [`QueryPlan`], with typed errors (never panics) and a
 //!   canonical pretty-printer;
-//! * [`q1`], [`q6`], [`q15`] — TPC-H Query 1, 6 and the Q15 revenue view
-//!   expressed as plans *and* as pinned SQL texts
-//!   ([`q1_sql`]/[`q6_sql`]/[`q15_sql`], proptested bit-identical to the
-//!   builder plans), with the materializing reference pipeline kept for
-//!   differential testing and the sorted-double baseline, reporting the
-//!   CPU-time split (scan / aggregation / other) that Table IV builds
-//!   on. Parallel execution is bit-identical to serial for every backend.
+//! * [`tpch`] — TPC-H Query 1, 6 and the Q15 revenue view expressed as
+//!   plans *and* as pinned SQL texts ([`q1_sql`]/[`q6_sql`]/[`q15_sql`],
+//!   proptested bit-identical to the builder plans) over a zero-copy
+//!   lineitem table view.
+//!
+//! Every query runs one pipeline — SQL → [`QueryPlan`] → fused executor —
+//! on every backend, and reports the CPU-time split (scan / aggregation /
+//! other) that Table IV builds on. Parallel execution is bit-identical to
+//! serial for every backend.
 //!
 //! ```
-//! use rfa_engine::{run_q1, SumBackend};
+//! use rfa_engine::{lineitem_table, q1_plan, ExecOptions, SumBackend};
 //! use rfa_workloads::Lineitem;
 //!
-//! let lineitem = Lineitem::generate(10_000, 42);
-//! let (rows, timing) = run_q1(&lineitem, SumBackend::ReproBuffered { buffer_size: 1024 }).unwrap();
-//! assert_eq!(rows.len(), 4); // A/F, N/F, N/O, R/F
-//! assert!(timing.total().as_nanos() > 0);
+//! let table = lineitem_table(&Lineitem::generate(10_000, 42));
+//! let result = q1_plan()
+//!     .execute(&table, SumBackend::ReproBuffered { buffer_size: 1024 }, &ExecOptions::serial())
+//!     .unwrap();
+//! assert_eq!(result.keys.len(), 4); // A/F, N/F, N/O, R/F
+//! assert!(result.timing.total().as_nanos() > 0);
 //! ```
 //!
 //! Ad-hoc queries go through SQL (or the equivalent plan builder):
@@ -71,35 +75,33 @@ pub mod column;
 pub mod expr;
 pub mod fused;
 pub mod plan;
-pub mod q1;
-pub mod q15;
-pub mod q6;
+#[cfg(test)]
+mod q1;
+#[cfg(test)]
+mod q15;
+#[cfg(test)]
+mod q6;
 pub(crate) mod simd_sel;
 pub mod sql;
 pub mod sum_op;
+pub mod tpch;
 
 pub use column::{ColRef, Column, EncodingError, Table, TableError};
 pub use expr::{
     BoolExpr, BoundExpr, BoundPredicate, CmpOp, CompiledExpr, CompiledPredicate, EvalScratch, Expr,
 };
 pub use fused::{
-    run_fused, ExecOptions, FusedError, FusedQuery, FusedRun, GroupKey, GroupSpec, FUSED_BATCH_ROWS,
+    run_fused, ExecOptions, FusedError, FusedQuery, FusedRun, GroupKey, GroupSpec, PhaseTiming,
+    FUSED_BATCH_ROWS,
 };
 pub use plan::{AggCall, AggColumn, PlanError, PlanResult, QueryPlan};
-pub use q1::{
-    lineitem_table, lineitem_table_encoded, q1_plan, q1_sql, run_q1, run_q1_materializing,
-    run_q1_materializing_par, run_q1_par, run_q1_with, PhaseTiming, Q1Row,
-};
-pub use q15::{q15_plan, q15_sql, run_q15, run_q15_par, run_q15_with, RevenueRow};
-pub use q6::{
-    q6_plan, q6_sql, run_q6, run_q6_materializing, run_q6_materializing_par, run_q6_par,
-    run_q6_with,
-};
 pub use sql::{
     parse_select, resolve_select, sql_query, PlanCache, PlanCacheStats, SelectItem, SelectStmt,
     SqlColumn, SqlError, SqlQuery, SqlResult,
 };
 pub use sum_op::{
-    count_grouped, sum_grouped, sum_grouped_par, GroupedOutput, GroupedStates, GroupedSums,
-    OverflowError, SumBackend, SCAN_MORSEL_ROWS,
+    GroupedOutput, GroupedStates, GroupedSums, OverflowError, SumBackend, SCAN_MORSEL_ROWS,
+};
+pub use tpch::{
+    lineitem_table, lineitem_table_encoded, q15_plan, q15_sql, q1_plan, q1_sql, q6_plan, q6_sql,
 };

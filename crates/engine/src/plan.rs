@@ -4,13 +4,16 @@
 //! The paper's thesis is that reproducible SUM is a *drop-in operator*
 //! inside a real query engine (§VI-E) — which means queries should be
 //! expressible as plans over arbitrary aggregates and group keys, not as
-//! hand-written `run_qN` functions. A [`QueryPlan`] names the source
+//! hand-written per-query pipelines. A [`QueryPlan`] names the source
 //! table, a conjunctive filter, a [`GroupKey`] and a list of
 //! [`AggCall`]s; [`QueryPlan::execute`] validates it against a concrete
 //! [`Table`] (missing or mistyped columns surface as [`TableError`]s, not
 //! panics), lowers it to a physical [`FusedQuery`], runs the fused
 //! zero-copy scan, and finalizes the per-group states into a
-//! [`PlanResult`].
+//! [`PlanResult`]. This is the engine's one query pipeline: the SQL
+//! frontend lowers onto it, the TPC-H queries are plans
+//! ([`crate::tpch`]), and all six [`SumBackend`]s run through it at any
+//! thread count.
 //!
 //! ```
 //! use rfa_engine::plan::{AggCall, QueryPlan};
@@ -54,8 +57,9 @@
 
 use crate::column::{ColRef, Column, EncodingError, Table, TableError};
 use crate::expr::{BoolExpr, Expr};
-use crate::fused::{run_fused, ExecOptions, FusedError, FusedQuery, GroupKey, GroupSpec};
-use crate::q1::PhaseTiming;
+use crate::fused::{
+    run_fused, ExecOptions, FusedError, FusedQuery, GroupKey, GroupSpec, PhaseTiming,
+};
 use crate::sum_op::{OverflowError, SumBackend};
 use rfa_agg::HashKind;
 use std::fmt;
@@ -112,10 +116,15 @@ pub enum PlanError {
     /// value pair present in the data (also data-dependent: `encode` is
     /// only ever called on pairs that actually occur).
     GroupIdOutOfBounds { got: u32, groups: usize },
-    /// The plan cannot run on the fused executor as configured (e.g. the
-    /// SortedDouble backend, which requires materializing, or a plan with
-    /// no aggregates).
+    /// The plan cannot run on the fused executor as configured (e.g. a
+    /// plan with no aggregates).
     Unsupported(&'static str),
+    /// The SUM backend's parameters are out of range: RSUM levels must
+    /// lie in `1..=4` and summation buffers hold `1..=65536` values.
+    InvalidBackend {
+        backend: SumBackend,
+        reason: &'static str,
+    },
     /// The query's cancellation token tripped (cooperative, checked at
     /// batch boundaries — see [`FusedError::Cancelled`]).
     Cancelled,
@@ -157,6 +166,9 @@ impl fmt::Display for PlanError {
                 )
             }
             PlanError::Unsupported(what) => write!(f, "unsupported plan: {what}"),
+            PlanError::InvalidBackend { backend, reason } => {
+                write!(f, "invalid SUM backend {backend:?}: {reason}")
+            }
             PlanError::Cancelled => write!(f, "query cancelled"),
             PlanError::DeadlineExceeded { deadline } => {
                 write!(f, "query exceeded its {deadline:?} deadline")
@@ -363,15 +375,16 @@ impl QueryPlan {
     /// zero-copy scan pipeline.
     ///
     /// Errors — never panics — when the plan targets a different table,
-    /// references a missing or mistyped column, has no aggregates, or
-    /// requests [`SumBackend::SortedDouble`] (whose sort requires the
-    /// materializing pipeline; the TPC-H wrappers route it there).
+    /// references a missing or mistyped column, or has no aggregates, and
+    /// then ([`PlanError::InvalidBackend`]) when the backend's parameters
+    /// are out of range, before any aggregate state is built.
     /// Data-dependent conditions no validation can rule out also surface
     /// as errors from the scan itself: a hash key column containing the
     /// reserved `u32::MAX`/`-1_i32` value ([`PlanError::ReservedKey`]),
     /// a dense `encode` fn yielding an id `>= groups` for a pair present
     /// in the data ([`PlanError::GroupIdOutOfBounds`]), and Double
-    /// overflow ([`PlanError::Overflow`]).
+    /// overflow ([`PlanError::Overflow`]; [`SumBackend::SortedDouble`]
+    /// reports it when its sorted sums finalize).
     pub fn execute(
         &self,
         table: &Table,
@@ -379,11 +392,7 @@ impl QueryPlan {
         opts: &ExecOptions,
     ) -> Result<PlanResult, PlanError> {
         let lowered = self.lower(table)?;
-        if backend == SumBackend::SortedDouble {
-            return Err(PlanError::Unsupported(
-                "SortedDouble requires the materializing pipeline",
-            ));
-        }
+        check_backend(backend)?;
         let run = run_fused(table, &lowered.query, backend, opts)?;
         let t0 = Instant::now();
 
@@ -529,6 +538,30 @@ impl QueryPlan {
             key_signed,
         })
     }
+}
+
+/// Rejects backend parameters the SUM states cannot be built with: RSUM
+/// ladders have 1 to 4 levels, and a summation buffer must hold at least
+/// one value and at most 65 536 (a bound that keeps a client's request
+/// from sizing gigabytes of per-group buffers).
+fn check_backend(backend: SumBackend) -> Result<(), PlanError> {
+    let (levels, buffer_size) = match backend {
+        SumBackend::Rsum { levels } => (Some(levels), None),
+        SumBackend::RsumBuffered {
+            levels,
+            buffer_size,
+        } => (Some(levels), Some(buffer_size)),
+        SumBackend::ReproBuffered { buffer_size } => (None, Some(buffer_size)),
+        _ => (None, None),
+    };
+    let reason = if levels.is_some_and(|l| !(1..=4).contains(&l)) {
+        "RSUM levels must be in 1..=4"
+    } else if buffer_size.is_some_and(|b| !(1..=65_536).contains(&b)) {
+        "summation buffer size must be in 1..=65536"
+    } else {
+        return Ok(());
+    };
+    Err(PlanError::InvalidBackend { backend, reason })
 }
 
 /// Orders the hash arm's first-seen group slots by output key.
@@ -1007,12 +1040,6 @@ mod tests {
                 .unwrap_err(),
             PlanError::Unsupported("plan has no aggregates")
         );
-        let plan = QueryPlan::scan("sensors").count();
-        assert_eq!(
-            plan.execute(&t, SumBackend::SortedDouble, &ExecOptions::serial())
-                .unwrap_err(),
-            PlanError::Unsupported("SortedDouble requires the materializing pipeline")
-        );
     }
 
     #[test]
@@ -1060,12 +1087,12 @@ mod tests {
 
     #[test]
     fn validation_runs_before_execution_errors() {
-        // A broken plan on a SortedDouble backend reports the *table*
-        // error: validation happens before backend routing.
+        // A broken plan on an invalid backend reports the *table* error:
+        // the plan is validated before the backend.
         let t = sensor_table();
         let plan = QueryPlan::scan("sensors").sum(Expr::col("nope"));
         assert!(matches!(
-            plan.execute(&t, SumBackend::SortedDouble, &ExecOptions::serial())
+            plan.execute(&t, SumBackend::Rsum { levels: 0 }, &ExecOptions::serial())
                 .unwrap_err(),
             PlanError::Table(TableError::NoSuchColumn(_))
         ));

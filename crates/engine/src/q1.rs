@@ -1,583 +1,85 @@
-//! TPC-H Query 1 (paper §VI-E, Table IV).
-//!
-//! ```sql
-//! SELECT l_returnflag, l_linestatus,
-//!        sum(l_quantity), sum(l_extendedprice),
-//!        sum(l_extendedprice * (1 - l_discount)),
-//!        sum(l_extendedprice * (1 - l_discount) * (1 + l_tax)),
-//!        avg(l_quantity), avg(l_extendedprice), avg(l_discount), count(*)
-//! FROM lineitem
-//! WHERE l_shipdate <= date '1998-12-01' - interval '90' day
-//! GROUP BY l_returnflag, l_linestatus
-//! ORDER BY l_returnflag, l_linestatus;
-//! ```
-//!
-//! Q1 is expressed as a [`QueryPlan`] ([`q1_plan`]) — four SUMs, three
-//! AVGs and a COUNT over the dense flag/status grouping — lowered onto
-//! the fused zero-copy scan of [`crate::fused`]: batches are filtered,
-//! projected and aggregated in one pass over a shared-storage table view,
-//! with no n-sized intermediates. The AVG columns are finalized by the
-//! engine from the shared reproducible SUM states and the exact COUNT
-//! (not by post-hoc division here), and each AVG shares its SUM state
-//! with the matching SUM column, so the plan still runs exactly five SUM
-//! state arrays. The original materializing pipeline (selection vector →
-//! gather → expression vectors → grouped aggregation) is kept as
-//! [`run_q1_materializing`] / [`run_q1_materializing_par`] — it is the
-//! differential-testing reference, and the only pipeline that can serve
-//! [`SumBackend::SortedDouble`], whose deterministic total order requires
-//! materializing the projected columns before sorting them.
-//!
-//! CPU time is split into *scan* (selection + projection), *aggregation*
-//! and *other* (sorting, finalization). The paper's Table IV reports
-//! "aggregation" vs "other", where its "other" is our scan + other; the
-//! table-view setup the materializing pipeline used to charge to "other"
-//! is now zero-copy and free.
-
-use crate::column::Table;
-use crate::expr::Expr;
-use crate::fused::ExecOptions;
-use crate::plan::{PlanError, QueryPlan};
-use crate::sum_op::{
-    count_grouped, sum_grouped, sum_grouped_par, OverflowError, SumBackend, SCAN_MORSEL_ROWS,
-};
-use rayon::prelude::*;
-use rfa_workloads::tpch::{Lineitem, Q1_SHIPDATE_CUTOFF};
-use std::time::{Duration, Instant};
-
-/// CPU-time split of a query execution (Table IV's rows, with the scan
-/// broken out of the paper's "other" bucket).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseTiming {
-    /// Selection, group-id computation and expression projection.
-    pub scan: Duration,
-    /// Deposits into the SUM states and their merges.
-    pub aggregation: Duration,
-    /// Everything else: sorting (SortedDouble), finalization.
-    pub other: Duration,
-}
-
-impl PhaseTiming {
-    pub fn total(&self) -> Duration {
-        self.scan + self.aggregation + self.other
-    }
-}
-
-/// One output row of Q1.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Q1Row {
-    pub returnflag: char,
-    pub linestatus: char,
-    pub sum_qty: f64,
-    pub sum_base_price: f64,
-    pub sum_disc_price: f64,
-    pub sum_charge: f64,
-    pub avg_qty: f64,
-    pub avg_price: f64,
-    pub avg_disc: f64,
-    pub count: u64,
-}
-
-const GROUPS: usize = 6; // 3 returnflags × 2 linestatuses (dense encoding)
-
-/// Builds a zero-copy engine [`Table`] view of all lineitem columns the
-/// TPC-H queries touch: each column is an `Arc` clone of the workload's
-/// storage — a refcount bump, not a data copy.
-pub fn lineitem_table(t: &Lineitem) -> Table {
-    use crate::column::Column;
-    let mut table = Table::new("lineitem");
-    table
-        .add_column("l_quantity", Column::F64(t.quantity.clone()))
-        .expect("fresh table");
-    table
-        .add_column("l_extendedprice", Column::F64(t.extendedprice.clone()))
-        .expect("fresh table");
-    table
-        .add_column("l_discount", Column::F64(t.discount.clone()))
-        .expect("fresh table");
-    table
-        .add_column("l_tax", Column::F64(t.tax.clone()))
-        .expect("fresh table");
-    table
-        .add_column("l_shipdate", Column::I32(t.shipdate.clone()))
-        .expect("fresh table");
-    table
-        .add_column("l_returnflag", Column::U8(t.returnflag.clone()))
-        .expect("fresh table");
-    table
-        .add_column("l_linestatus", Column::U8(t.linestatus.clone()))
-        .expect("fresh table");
-    table
-        .add_column("l_suppkey", Column::I32(t.suppkey.clone()))
-        .expect("fresh table");
-    table
-}
-
-/// The compressed twin of [`lineitem_table`]: every low-cardinality
-/// column is stored encoded, and the fused executor reads the encodings
-/// directly (predicates evaluate once per dictionary entry or run,
-/// RLE group keys assign ids per run) — results are bit-identical to the
-/// plain layout.
-///
-/// Per column, [`Table::encode_auto`] chooses the best encoding *for the
-/// table's current physical order*: RLE when the layout gives the column
-/// long runs (at most one run per 4 rows — e.g. the flag pair after
-/// [`Lineitem::sorted_by_q1_group`], or `l_shipdate` after
-/// [`Lineitem::sorted_by_shipdate`]), else a dictionary when it pays —
-/// u8 codes for ≤256 distinct values (`l_quantity` has 50, `l_discount`
-/// 11, `l_tax` 9, the flags 3 and 2), u16 codes up to 65 536
-/// (`l_suppkey` spans the 10 000-supplier domain) — else plain
-/// (`l_extendedprice` is near-unique: a dictionary would cost more than
-/// the codes save).
-pub fn lineitem_table_encoded(t: &Lineitem) -> Table {
-    let mut table = lineitem_table(t);
-    table.encode_auto(crate::column::EncodePolicy::default());
-    table
-}
-
-/// The Q1 logical plan: one filter conjunct and the eight TPC-H output
-/// aggregates in SQL order, grouped by the dictionary-encoded flag pair
-/// ([`Lineitem::encode_group`] — the same mapping the materializing
-/// pipeline uses via [`Lineitem::q1_group`]). Lowering shares SUM states
-/// between the SUM and AVG calls, so exactly five SUM state arrays run —
-/// the same operator shape (and the same bits) as the hand-written fused
-/// query this replaced.
-pub fn q1_plan() -> QueryPlan {
-    let disc_price =
-        || Expr::col("l_extendedprice").mul(Expr::lit(1.0).sub(Expr::col("l_discount")));
-    QueryPlan::scan("lineitem")
-        .filter(Expr::col("l_shipdate").le(Expr::lit(Q1_SHIPDATE_CUTOFF as f64)))
-        .group_by_dense(
-            "l_returnflag",
-            "l_linestatus",
-            Lineitem::encode_group,
-            GROUPS,
-        )
-        .sum(Expr::col("l_quantity"))
-        .sum(Expr::col("l_extendedprice"))
-        .sum(disc_price())
-        .sum(disc_price().mul(Expr::lit(1.0).add(Expr::col("l_tax"))))
-        .avg(Expr::col("l_quantity"))
-        .avg(Expr::col("l_extendedprice"))
-        .avg(Expr::col("l_discount"))
-        .count()
-}
-
-/// The pinned Q1 SQL text: parsing and lowering this through
-/// [`crate::sql`] produces results bit-identical to [`q1_plan`] (the SQL
-/// groups through the hash-pair arm rather than the dense dictionary
-/// encoding, but every group receives the identical value sequence, and
-/// both output orders ascend by `(l_returnflag, l_linestatus)`). The
-/// date cutoff is inlined as the day number behind
-/// [`Q1_SHIPDATE_CUTOFF`], since the engine stores dates as days since
-/// 1992-01-01.
-pub fn q1_sql() -> String {
-    format!(
-        "SELECT l_returnflag, l_linestatus, \
-         SUM(l_quantity), SUM(l_extendedprice), \
-         SUM(l_extendedprice * (1 - l_discount)), \
-         SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)), \
-         AVG(l_quantity), AVG(l_extendedprice), AVG(l_discount), COUNT(*) \
-         FROM lineitem \
-         WHERE l_shipdate <= {Q1_SHIPDATE_CUTOFF} \
-         GROUP BY l_returnflag, l_linestatus"
-    )
-}
-
-/// Assembles Q1 output rows from per-group sums and counts.
-fn build_q1_rows(
-    sum_qty: &[f64],
-    sum_price: &[f64],
-    sum_disc_price: &[f64],
-    sum_charge: &[f64],
-    sum_disc: &[f64],
-    counts: &[u64],
-) -> Vec<Q1Row> {
-    let mut rows = Vec::new();
-    for g in 0..GROUPS {
-        if counts[g] == 0 {
-            continue; // (A, O) never occurs in TPC-H data
-        }
-        let c = counts[g] as f64;
-        let (rf, ls) = Lineitem::decode_group(g as u32);
-        rows.push(Q1Row {
-            returnflag: rf,
-            linestatus: ls,
-            sum_qty: sum_qty[g],
-            sum_base_price: sum_price[g],
-            sum_disc_price: sum_disc_price[g],
-            sum_charge: sum_charge[g],
-            avg_qty: sum_qty[g] / c,
-            avg_price: sum_price[g] / c,
-            avg_disc: sum_disc[g] / c,
-            count: counts[g],
-        });
-    }
-    rows
-}
-
-/// Executes Q1 serially through the fused pipeline (materializing for
-/// [`SumBackend::SortedDouble`]).
-pub fn run_q1(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(Vec<Q1Row>, PhaseTiming), OverflowError> {
-    run_q1_with(lineitem, backend, &ExecOptions::serial())
-}
-
-/// Executes Q1 morsel-parallel on the work-stealing pool. Bit-identical
-/// to [`run_q1`] for *every* backend: repro states merge exactly, the
-/// sorted baseline re-sorts into the serial total order, and plain
-/// doubles deliberately scan serially (see [`crate::fused`]).
-pub fn run_q1_par(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(Vec<Q1Row>, PhaseTiming), OverflowError> {
-    run_q1_with(lineitem, backend, &ExecOptions::parallel())
-}
-
-/// Executes Q1 with explicit execution options (thread budget, batch and
-/// morsel sizing) by lowering [`q1_plan`] onto the fused executor. The
-/// result is bit-identical to [`run_q1_materializing`] for every backend
-/// and any options — asserted by the proptest suite.
-pub fn run_q1_with(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-    opts: &ExecOptions,
-) -> Result<(Vec<Q1Row>, PhaseTiming), OverflowError> {
-    if backend == SumBackend::SortedDouble {
-        return if opts.threads > 1 {
-            run_q1_materializing_par(lineitem, backend)
-        } else {
-            run_q1_materializing(lineitem, backend)
-        };
-    }
-    let table = lineitem_table(lineitem);
-    let result = q1_plan()
-        .execute(&table, backend, opts)
-        .map_err(|e| match e {
-            PlanError::Overflow(o) => o,
-            other => unreachable!("the engine-built Q1 plan is valid: {other}"),
-        })?;
-    let t0 = Instant::now();
-    let mut rows = Vec::with_capacity(result.keys.len());
-    for (i, &gid) in result.keys.iter().enumerate() {
-        let (returnflag, linestatus) = Lineitem::decode_group(gid as u32);
-        rows.push(Q1Row {
-            returnflag,
-            linestatus,
-            sum_qty: result.columns[0].f64s()[i],
-            sum_base_price: result.columns[1].f64s()[i],
-            sum_disc_price: result.columns[2].f64s()[i],
-            sum_charge: result.columns[3].f64s()[i],
-            avg_qty: result.columns[4].f64s()[i],
-            avg_price: result.columns[5].f64s()[i],
-            avg_disc: result.columns[6].f64s()[i],
-            count: result.columns[7].u64s()[i],
-        });
-    }
-    let mut timing = result.timing;
-    timing.other += t0.elapsed();
-    Ok((rows, timing))
-}
-
-/// The original materializing pipeline: n-sized selection vector, gather
-/// and expression evaluation into full-length vectors, then grouped
-/// aggregation. Kept as the differential-testing reference and as the
-/// only pipeline able to sort for [`SumBackend::SortedDouble`].
-pub fn run_q1_materializing(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(Vec<Q1Row>, PhaseTiming), OverflowError> {
-    let mut timing = PhaseTiming::default();
-    let t0 = Instant::now();
-
-    // --- scan: selection vector (l_shipdate <= cutoff) -------------------
-    let sel: Vec<u32> = lineitem
-        .shipdate
-        .iter()
-        .enumerate()
-        .filter(|(_, &d)| d <= Q1_SHIPDATE_CUTOFF)
-        .map(|(i, _)| i as u32)
-        .collect();
-
-    // --- scan: gather + expression evaluation ----------------------------
-    let n = sel.len();
-    let mut group_ids = Vec::with_capacity(n);
-    let mut qty = Vec::with_capacity(n);
-    let mut price = Vec::with_capacity(n);
-    let mut disc = Vec::with_capacity(n);
-    let mut disc_price = Vec::with_capacity(n);
-    let mut charge = Vec::with_capacity(n);
-    for &i in &sel {
-        let i = i as usize;
-        let p = lineitem.extendedprice[i];
-        let d = lineitem.discount[i];
-        let t = lineitem.tax[i];
-        let dp = p * (1.0 - d);
-        group_ids.push(lineitem.q1_group(i));
-        qty.push(lineitem.quantity[i]);
-        price.push(p);
-        disc.push(d);
-        disc_price.push(dp);
-        charge.push(dp * (1.0 + t));
-    }
-    timing.scan += t0.elapsed();
-
-    // --- other (SortedDouble only): sort into a total deterministic order.
-    if backend == SumBackend::SortedDouble {
-        let t1 = Instant::now();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        // Total order: group, then the bit patterns of every aggregated
-        // column (ties are then bit-identical rows, so unstable sorting
-        // cannot introduce non-determinism).
-        order.sort_unstable_by_key(|&i| {
-            let i = i as usize;
-            (
-                group_ids[i],
-                qty[i].to_bits(),
-                price[i].to_bits(),
-                disc_price[i].to_bits(),
-                charge[i].to_bits(),
-                disc[i].to_bits(),
-            )
-        });
-        let apply = |v: &mut Vec<f64>| {
-            let out: Vec<f64> = order.iter().map(|&i| v[i as usize]).collect();
-            *v = out;
-        };
-        let gids: Vec<u32> = order.iter().map(|&i| group_ids[i as usize]).collect();
-        group_ids = gids;
-        apply(&mut qty);
-        apply(&mut price);
-        apply(&mut disc);
-        apply(&mut disc_price);
-        apply(&mut charge);
-        timing.other += t1.elapsed();
-    }
-
-    // --- aggregation: five grouped SUMs + COUNT --------------------------
-    let t1 = Instant::now();
-    let sum_qty = sum_grouped(backend, &group_ids, &qty, GROUPS)?;
-    let sum_price = sum_grouped(backend, &group_ids, &price, GROUPS)?;
-    let sum_disc_price = sum_grouped(backend, &group_ids, &disc_price, GROUPS)?;
-    let sum_charge = sum_grouped(backend, &group_ids, &charge, GROUPS)?;
-    let sum_disc = sum_grouped(backend, &group_ids, &disc, GROUPS)?;
-    let counts = count_grouped(&group_ids, GROUPS);
-    timing.aggregation += t1.elapsed();
-
-    // --- other: finalization (averages, output order) --------------------
-    let t2 = Instant::now();
-    let rows = build_q1_rows(
-        &sum_qty,
-        &sum_price,
-        &sum_disc_price,
-        &sum_charge,
-        &sum_disc,
-        &counts,
-    );
-    timing.other += t2.elapsed();
-    Ok((rows, timing))
-}
-
-/// One morsel's worth of selected-and-projected Q1 columns.
-#[derive(Default)]
-struct Q1ScanCols {
-    group_ids: Vec<u32>,
-    qty: Vec<f64>,
-    price: Vec<f64>,
-    disc: Vec<f64>,
-    disc_price: Vec<f64>,
-    charge: Vec<f64>,
-}
-
-impl Q1ScanCols {
-    fn append(&mut self, other: &mut Q1ScanCols) {
-        self.group_ids.append(&mut other.group_ids);
-        self.qty.append(&mut other.qty);
-        self.price.append(&mut other.price);
-        self.disc.append(&mut other.disc);
-        self.disc_price.append(&mut other.disc_price);
-        self.charge.append(&mut other.charge);
-    }
-}
-
-/// Morsel-parallel materializing pipeline: the scan materializes
-/// per-morsel column fragments concatenated in morsel order (the serial
-/// row order), then aggregates with [`sum_grouped_par`]. This is what
-/// [`SumBackend::SortedDouble`] runs under [`run_q1_par`] — its parallel
-/// merge sort lands in the same total order as the serial sort, keeping
-/// it bit-identical to [`run_q1_materializing`].
-pub fn run_q1_materializing_par(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(Vec<Q1Row>, PhaseTiming), OverflowError> {
-    let mut timing = PhaseTiming::default();
-    let t0 = Instant::now();
-
-    // --- scan: morsel-parallel selection + gather + expression eval ------
-    let n = lineitem.len();
-    let mut cols = (0..n.div_ceil(SCAN_MORSEL_ROWS))
-        .into_par_iter()
-        .with_min_len(1)
-        .fold(Q1ScanCols::default, |mut acc, m| {
-            let lo = m * SCAN_MORSEL_ROWS;
-            let hi = (lo + SCAN_MORSEL_ROWS).min(n);
-            for i in lo..hi {
-                if lineitem.shipdate[i] > Q1_SHIPDATE_CUTOFF {
-                    continue;
-                }
-                let p = lineitem.extendedprice[i];
-                let d = lineitem.discount[i];
-                let t = lineitem.tax[i];
-                let dp = p * (1.0 - d);
-                acc.group_ids.push(lineitem.q1_group(i));
-                acc.qty.push(lineitem.quantity[i]);
-                acc.price.push(p);
-                acc.disc.push(d);
-                acc.disc_price.push(dp);
-                acc.charge.push(dp * (1.0 + t));
-            }
-            acc
-        })
-        .reduce(Q1ScanCols::default, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        });
-    timing.scan += t0.elapsed();
-
-    // --- other (SortedDouble only): parallel sort into the same total
-    // deterministic order the serial path uses.
-    if backend == SumBackend::SortedDouble {
-        let t1 = Instant::now();
-        let rows = cols.group_ids.len();
-        let mut order: Vec<u32> = (0..rows as u32).collect();
-        order.par_sort_unstable_by_key(|&i| {
-            let i = i as usize;
-            (
-                cols.group_ids[i],
-                cols.qty[i].to_bits(),
-                cols.price[i].to_bits(),
-                cols.disc_price[i].to_bits(),
-                cols.charge[i].to_bits(),
-                cols.disc[i].to_bits(),
-            )
-        });
-        let apply = |v: &mut Vec<f64>| {
-            let out: Vec<f64> = order.iter().map(|&i| v[i as usize]).collect();
-            *v = out;
-        };
-        cols.group_ids = order.iter().map(|&i| cols.group_ids[i as usize]).collect();
-        apply(&mut cols.qty);
-        apply(&mut cols.price);
-        apply(&mut cols.disc);
-        apply(&mut cols.disc_price);
-        apply(&mut cols.charge);
-        timing.other += t1.elapsed();
-    }
-
-    // --- aggregation: five morsel-parallel grouped SUMs + COUNT ----------
-    let t1 = Instant::now();
-    let g = &cols.group_ids;
-    let sum_qty = sum_grouped_par(backend, g, &cols.qty, GROUPS)?;
-    let sum_price = sum_grouped_par(backend, g, &cols.price, GROUPS)?;
-    let sum_disc_price = sum_grouped_par(backend, g, &cols.disc_price, GROUPS)?;
-    let sum_charge = sum_grouped_par(backend, g, &cols.charge, GROUPS)?;
-    let sum_disc = sum_grouped_par(backend, g, &cols.disc, GROUPS)?;
-    let counts = count_grouped(g, GROUPS);
-    timing.aggregation += t1.elapsed();
-
-    // --- other: finalization ---------------------------------------------
-    let t2 = Instant::now();
-    let rows = build_q1_rows(
-        &sum_qty,
-        &sum_price,
-        &sum_disc_price,
-        &sum_charge,
-        &sum_disc,
-        &counts,
-    );
-    timing.other += t2.elapsed();
-    Ok((rows, timing))
-}
+//! Tests of TPC-H Q1 ([`crate::tpch::q1_plan`]) over the lineitem table
+//! views: output groups, backend agreement, and bit-identity across
+//! thread counts, physical row orders and column encodings.
 
 #[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) mod tests {
+    use crate::plan::{AggColumn, PlanResult};
+    use crate::tpch::{lineitem_table, lineitem_table_encoded, q1_plan};
+    use crate::{Column, ExecOptions, SumBackend};
+    use rfa_workloads::Lineitem;
 
     fn table() -> Lineitem {
         Lineitem::generate(120_000, 7)
     }
 
-    fn assert_rows_bit_identical(a: &[Q1Row], b: &[Q1Row], ctx: &str) {
-        assert_eq!(a.len(), b.len(), "{ctx}");
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.returnflag, y.returnflag, "{ctx}");
-            assert_eq!(x.linestatus, y.linestatus, "{ctx}");
-            assert_eq!(x.count, y.count, "{ctx}");
-            assert_eq!(x.sum_qty.to_bits(), y.sum_qty.to_bits(), "{ctx}");
-            assert_eq!(
-                x.sum_base_price.to_bits(),
-                y.sum_base_price.to_bits(),
-                "{ctx}"
-            );
-            assert_eq!(
-                x.sum_disc_price.to_bits(),
-                y.sum_disc_price.to_bits(),
-                "{ctx}"
-            );
-            assert_eq!(x.sum_charge.to_bits(), y.sum_charge.to_bits(), "{ctx}");
-            assert_eq!(x.avg_disc.to_bits(), y.avg_disc.to_bits(), "{ctx}");
+    fn run_q1(t: &Lineitem, backend: SumBackend, opts: &ExecOptions) -> PlanResult {
+        q1_plan()
+            .execute(&lineitem_table(t), backend, opts)
+            .unwrap()
+    }
+
+    /// Asserts two plan results hold the same keys and the same bits in
+    /// every column.
+    pub(crate) fn assert_bitwise(a: &PlanResult, b: &PlanResult, ctx: &str) {
+        assert_eq!(a.keys, b.keys, "{ctx}");
+        for (c, cols) in a.columns.iter().zip(&b.columns).enumerate() {
+            match cols {
+                (AggColumn::F64(x), AggColumn::F64(y)) => {
+                    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(x), bits(y), "{ctx} column {c}");
+                }
+                (AggColumn::U64(x), AggColumn::U64(y)) => assert_eq!(x, y, "{ctx} column {c}"),
+                _ => panic!("{ctx} column {c}: kind mismatch"),
+            }
         }
     }
 
+    const ALL_BACKENDS: [SumBackend; 6] = [
+        SumBackend::Double,
+        SumBackend::SortedDouble,
+        SumBackend::ReproUnbuffered,
+        SumBackend::ReproBuffered { buffer_size: 512 },
+        SumBackend::Rsum { levels: 3 },
+        SumBackend::RsumBuffered {
+            levels: 3,
+            buffer_size: 256,
+        },
+    ];
+
     #[test]
     fn q1_produces_the_four_tpch_groups() {
-        let (rows, _) = run_q1(&table(), SumBackend::Double).unwrap();
-        let groups: Vec<(char, char)> = rows.iter().map(|r| (r.returnflag, r.linestatus)).collect();
+        let r = run_q1(&table(), SumBackend::Double, &ExecOptions::serial());
+        let groups: Vec<(char, char)> = r
+            .keys
+            .iter()
+            .map(|&g| Lineitem::decode_group(g as u32))
+            .collect();
         assert_eq!(groups, vec![('A', 'F'), ('N', 'F'), ('N', 'O'), ('R', 'F')]);
     }
 
     #[test]
     fn backends_agree_numerically() {
         let t = table();
-        let (d, _) = run_q1(&t, SumBackend::Double).unwrap();
-        let (u, _) = run_q1(&t, SumBackend::ReproUnbuffered).unwrap();
-        let (b, _) = run_q1(&t, SumBackend::ReproBuffered { buffer_size: 1024 }).unwrap();
-        let (s, _) = run_q1(&t, SumBackend::SortedDouble).unwrap();
-        for (((rd, ru), rb), rs) in d.iter().zip(&u).zip(&b).zip(&s) {
-            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(1.0);
-            assert!(close(rd.sum_charge, ru.sum_charge));
-            assert!(close(rd.sum_charge, rs.sum_charge));
-            // Both repro variants are bit-identical to each other.
-            assert_eq!(ru.sum_qty.to_bits(), rb.sum_qty.to_bits());
-            assert_eq!(ru.sum_charge.to_bits(), rb.sum_charge.to_bits());
-            assert_eq!(rd.count, ru.count);
+        let serial = ExecOptions::serial();
+        let d = run_q1(&t, SumBackend::Double, &serial);
+        let u = run_q1(&t, SumBackend::ReproUnbuffered, &serial);
+        let b = run_q1(&t, SumBackend::ReproBuffered { buffer_size: 1024 }, &serial);
+        let s = run_q1(&t, SumBackend::SortedDouble, &serial);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(1.0);
+        for g in 0..d.keys.len() {
+            let charge = |r: &PlanResult| r.columns[3].f64s()[g];
+            assert!(close(charge(&d), charge(&u)));
+            assert!(close(charge(&d), charge(&s)));
+            assert_eq!(d.columns[7].u64s()[g], u.columns[7].u64s()[g]);
         }
-    }
-
-    #[test]
-    fn fused_is_bit_identical_to_materializing_for_every_backend() {
-        let t = table();
-        for backend in [
-            SumBackend::Double,
-            SumBackend::ReproUnbuffered,
-            SumBackend::ReproBuffered { buffer_size: 512 },
-            SumBackend::Rsum { levels: 3 },
-            SumBackend::RsumBuffered {
-                levels: 2,
-                buffer_size: 256,
-            },
-        ] {
-            let (reference, _) = run_q1_materializing(&t, backend).unwrap();
-            let (fused, _) = run_q1(&t, backend).unwrap();
-            assert_rows_bit_identical(&reference, &fused, &format!("{backend:?}"));
-        }
+        // Both repro variants are bit-identical to each other.
+        assert_bitwise(&u, &b, "unbuffered vs buffered");
     }
 
     #[test]
     fn repro_backend_survives_physical_reorder() {
         let t = table();
-        let (u1, _) = run_q1(&t, SumBackend::ReproUnbuffered).unwrap();
         // Reorder the table physically (reverse) and re-run.
         let n = t.len();
         let perm: Vec<usize> = (0..n).rev().collect();
@@ -591,52 +93,33 @@ mod tests {
             perm.iter().map(|&i| t.linestatus[i]).collect(),
             perm.iter().map(|&i| t.suppkey[i]).collect(),
         );
-        let (u2, _) = run_q1(&reordered, SumBackend::ReproUnbuffered).unwrap();
-        for (a, b) in u1.iter().zip(u2.iter()) {
-            assert_eq!(a.sum_qty.to_bits(), b.sum_qty.to_bits());
-            assert_eq!(a.sum_base_price.to_bits(), b.sum_base_price.to_bits());
-            assert_eq!(a.sum_disc_price.to_bits(), b.sum_disc_price.to_bits());
-            assert_eq!(a.sum_charge.to_bits(), b.sum_charge.to_bits());
-        }
-        // The sorted baseline is also reproducible.
-        let (s1, _) = run_q1(&t, SumBackend::SortedDouble).unwrap();
-        let (s2, _) = run_q1(&reordered, SumBackend::SortedDouble).unwrap();
-        for (a, b) in s1.iter().zip(s2.iter()) {
-            assert_eq!(a.sum_charge.to_bits(), b.sum_charge.to_bits());
+        // The repro backends and the sorted baseline are reproducible.
+        for backend in [SumBackend::ReproUnbuffered, SumBackend::SortedDouble] {
+            let a = run_q1(&t, backend, &ExecOptions::serial());
+            let b = run_q1(&reordered, backend, &ExecOptions::serial());
+            assert_bitwise(&a, &b, &format!("{backend:?}"));
         }
     }
 
     #[test]
     fn parallel_scan_is_bit_identical_to_serial_for_every_backend() {
-        // The fused executor keeps even plain doubles thread-count
-        // independent (they scan serially); repro backends merge exactly;
-        // SortedDouble re-sorts into the serial order.
+        // Plain doubles scan serially at any thread count; repro and sorted
+        // states merge exactly.
         let t = table();
-        for backend in [
-            SumBackend::Double,
-            SumBackend::ReproUnbuffered,
-            SumBackend::ReproBuffered { buffer_size: 512 },
-            SumBackend::Rsum { levels: 3 },
-            SumBackend::RsumBuffered {
-                levels: 3,
-                buffer_size: 256,
-            },
-            SumBackend::SortedDouble,
-        ] {
-            let (serial, _) = run_q1(&t, backend).unwrap();
-            let (parallel, _) = run_q1_par(&t, backend).unwrap();
-            assert_rows_bit_identical(&serial, &parallel, &format!("{backend:?}"));
+        for backend in ALL_BACKENDS {
+            let serial = run_q1(&t, backend, &ExecOptions::serial());
+            let parallel = run_q1(&t, backend, &ExecOptions::parallel());
+            assert_bitwise(&serial, &parallel, &format!("{backend:?}"));
         }
     }
 
-    /// Tentpole: Q1 over the compressed table layouts — dictionary
-    /// everywhere, and RLE group keys after clustering by the group pair
-    /// — is bit-identical to the plain layout for every backend and
-    /// thread count, and the encodings genuinely engage (the group
-    /// columns are stored encoded, not silently decoded).
+    /// Q1 over the compressed table layouts — dictionary everywhere, and
+    /// RLE group keys after clustering by the group pair — is
+    /// bit-identical to the plain layout for every backend and thread
+    /// count, and the encodings genuinely engage (the group columns are
+    /// stored encoded, not silently decoded).
     #[test]
     fn q1_over_encoded_tables_is_bit_identical_to_plain() {
-        use crate::column::Column;
         let t = table();
         let plain = lineitem_table(&t);
         let dict = lineitem_table_encoded(&t);
@@ -673,25 +156,11 @@ mod tests {
             "F64"
         );
 
-        fn assert_bitwise(a: &crate::plan::PlanResult, b: &crate::plan::PlanResult, ctx: &str) {
-            use crate::plan::AggColumn;
-            assert_eq!(a.keys, b.keys, "{ctx}");
-            for (c, cols) in a.columns.iter().zip(&b.columns).enumerate() {
-                match cols {
-                    (AggColumn::F64(x), AggColumn::F64(y)) => {
-                        for (u, v) in x.iter().zip(y) {
-                            assert_eq!(u.to_bits(), v.to_bits(), "{ctx} column {c}");
-                        }
-                    }
-                    (AggColumn::U64(x), AggColumn::U64(y)) => assert_eq!(x, y, "{ctx} column {c}"),
-                    _ => panic!("{ctx} column {c}: kind mismatch"),
-                }
-            }
-        }
         let plan = q1_plan();
         let sorted_plain = lineitem_table(&sorted);
         for backend in [
             SumBackend::Double,
+            SumBackend::SortedDouble,
             SumBackend::ReproUnbuffered,
             SumBackend::Rsum { levels: 2 },
         ] {
@@ -714,11 +183,17 @@ mod tests {
 
     #[test]
     fn averages_are_consistent() {
-        let (rows, _) = run_q1(&table(), SumBackend::ReproUnbuffered).unwrap();
-        for r in &rows {
-            assert!((r.avg_qty - r.sum_qty / r.count as f64).abs() < 1e-12);
-            assert!((1.0..=50.0).contains(&r.avg_qty));
-            assert!((0.0..=0.10).contains(&r.avg_disc));
+        let r = run_q1(
+            &table(),
+            SumBackend::ReproUnbuffered,
+            &ExecOptions::serial(),
+        );
+        for g in 0..r.keys.len() {
+            let (sum_qty, avg_qty) = (r.columns[0].f64s()[g], r.columns[4].f64s()[g]);
+            let count = r.columns[7].u64s()[g];
+            assert!((avg_qty - sum_qty / count as f64).abs() < 1e-12);
+            assert!((1.0..=50.0).contains(&avg_qty));
+            assert!((0.0..=0.10).contains(&r.columns[6].f64s()[g]));
         }
     }
 }

@@ -1,139 +1,30 @@
-//! TPC-H Query 15's revenue view — revenue by supplier.
-//!
-//! ```sql
-//! SELECT l_suppkey,
-//!        sum(l_extendedprice * (1 - l_discount)) AS total_revenue,
-//!        count(*)
-//! FROM lineitem
-//! WHERE l_shipdate >= date '1996-01-01'
-//!   AND l_shipdate <  date '1996-01-01' + interval '3' month
-//! GROUP BY l_suppkey;
-//! ```
-//!
-//! This is the engine's high-cardinality grouped query: `l_suppkey` spans
-//! 10 000 values (scale factor 1), far beyond any dense dictionary
-//! encoding, so the plan takes the fused executor's **hash arm** — group
-//! ids are assigned batch-at-a-time through [`AggHashTable::upsert_batch`]
-//! with the paper's identity hashing (suppkeys are a dense domain,
-//! §VI-A), and parallel morsels merge their per-key states exactly. The
-//! result is bit-identical at any thread count for the repro backends —
-//! the paper's reproducibility claim carried to arbitrary group keys —
-//! and the output ascends by supplier key regardless of scan order.
-//!
-//! Q15 complements Q1 (dense grouping, ~98% selectivity) and Q6
-//! (un-grouped, ~2% selectivity): a mid-selectivity scan whose aggregate
-//! state is thousands of times wider than either.
-//!
-//! [`AggHashTable::upsert_batch`]: rfa_agg::AggHashTable::upsert_batch
-
-use crate::expr::Expr;
-use crate::fused::ExecOptions;
-use crate::plan::{PlanError, QueryPlan};
-use crate::q1::{lineitem_table, PhaseTiming};
-use crate::sum_op::SumBackend;
-use rfa_workloads::tpch::Lineitem;
-use std::time::Instant;
-
-/// Q15 revenue window in days since 1992-01-01: [1996-01-01, +3 months).
-pub const Q15_DATE_LO: i32 = 4 * 365;
-pub const Q15_DATE_HI: i32 = 4 * 365 + 90;
-
-/// One output row of the revenue view.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RevenueRow {
-    pub suppkey: i32,
-    pub total_revenue: f64,
-    pub count: u64,
-}
-
-/// The Q15 revenue-view plan: one date-range conjunct, revenue SUM and
-/// COUNT grouped by `l_suppkey` through the hash arm.
-pub fn q15_plan() -> QueryPlan {
-    QueryPlan::scan("lineitem")
-        .filter(Expr::col("l_shipdate").ge(Expr::lit(Q15_DATE_LO as f64)))
-        .filter(Expr::col("l_shipdate").lt(Expr::lit(Q15_DATE_HI as f64)))
-        .group_by_key("l_suppkey")
-        .sum(Expr::col("l_extendedprice").mul(Expr::lit(1.0).sub(Expr::col("l_discount"))))
-        .count()
-}
-
-/// The pinned Q15 revenue-view SQL text: parsing and lowering this
-/// through [`crate::sql`] produces the identical lowered query as
-/// [`q15_plan`] (hash grouping on `l_suppkey` with identity hashing),
-/// hence bit-identical results for every backend and thread count.
-pub fn q15_sql() -> String {
-    format!(
-        "SELECT l_suppkey, \
-         SUM(l_extendedprice * (1 - l_discount)), COUNT(*) \
-         FROM lineitem \
-         WHERE l_shipdate >= {Q15_DATE_LO} AND l_shipdate < {Q15_DATE_HI} \
-         GROUP BY l_suppkey"
-    )
-}
-
-/// Executes the Q15 revenue view serially; returns one row per supplier
-/// with revenue in the window, ascending by supplier key.
-pub fn run_q15(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(Vec<RevenueRow>, PhaseTiming), PlanError> {
-    run_q15_with(lineitem, backend, &ExecOptions::serial())
-}
-
-/// Morsel-parallel Q15 on the work-stealing pool — bit-identical to
-/// [`run_q15`] for the repro backends (exact per-key state merges) and
-/// for plain doubles (which deliberately scan serially; see
-/// [`crate::fused`]).
-pub fn run_q15_par(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(Vec<RevenueRow>, PhaseTiming), PlanError> {
-    run_q15_with(lineitem, backend, &ExecOptions::parallel())
-}
-
-/// Executes Q15 with explicit execution options.
-///
-/// Unlike Q1/Q6 there is no materializing host for
-/// [`SumBackend::SortedDouble`] here, so that backend is rejected as
-/// [`PlanError::Unsupported`] (sorting per hash group would be a
-/// different operator, not a baseline of the paper's Table IV).
-pub fn run_q15_with(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-    opts: &ExecOptions,
-) -> Result<(Vec<RevenueRow>, PhaseTiming), PlanError> {
-    let table = lineitem_table(lineitem);
-    let result = q15_plan().execute(&table, backend, opts)?;
-    let t0 = Instant::now();
-    let revenue = result.columns[0].f64s();
-    let counts = result.columns[1].u64s();
-    let rows = result
-        .keys
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| RevenueRow {
-            suppkey: k as i32,
-            total_revenue: revenue[i],
-            count: counts[i],
-        })
-        .collect();
-    let mut timing = result.timing;
-    timing.other += t0.elapsed();
-    Ok((rows, timing))
-}
+//! Tests of the TPC-H Q15 revenue view ([`crate::tpch::q15_plan`]): the
+//! engine's high-cardinality hash-grouped query, checked against a
+//! per-supplier reference and across thread counts and row orders.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::plan::PlanResult;
+    use crate::q1::tests::assert_bitwise;
+    use crate::tpch::{lineitem_table, q15_plan, Q15_DATE_HI, Q15_DATE_LO};
+    use crate::{ExecOptions, GroupedStates, SumBackend};
+    use rfa_workloads::Lineitem;
     use std::collections::BTreeMap;
 
     fn table() -> Lineitem {
         Lineitem::generate(150_000, 23)
     }
 
-    /// Scalar reference: BTreeMap of per-supplier (dense-id) sums driven
-    /// through the same `sum_grouped` kernel, in row order per group.
-    fn reference(t: &Lineitem, backend: SumBackend) -> Vec<RevenueRow> {
+    fn run_q15(t: &Lineitem, backend: SumBackend, opts: &ExecOptions) -> PlanResult {
+        q15_plan()
+            .execute(&lineitem_table(t), backend, opts)
+            .unwrap()
+    }
+
+    /// Scalar reference: per-supplier dense ids in a BTreeMap, each
+    /// selected row deposited on its own, in row order; rows ascend by
+    /// supplier key. Returns (suppkey, revenue, count) rows.
+    fn reference(t: &Lineitem, backend: SumBackend) -> Vec<(i64, f64, u64)> {
         let sel: Vec<usize> = (0..t.len())
             .filter(|&i| (Q15_DATE_LO..Q15_DATE_HI).contains(&t.shipdate[i]))
             .collect();
@@ -142,31 +33,30 @@ mod tests {
             let next = rank.len() as u32;
             rank.entry(t.suppkey[i]).or_insert(next);
         }
-        let gids: Vec<u32> = sel.iter().map(|&i| rank[&t.suppkey[i]]).collect();
-        let vals: Vec<f64> = sel
-            .iter()
-            .map(|&i| t.extendedprice[i] * (1.0 - t.discount[i]))
-            .collect();
-        let sums = crate::sum_op::sum_grouped(backend, &gids, &vals, rank.len()).unwrap();
-        let counts = crate::sum_op::count_grouped(&gids, rank.len());
+        let mut states = GroupedStates::new(backend, rank.len(), 1, 0, 0);
+        for &i in &sel {
+            let g = rank[&t.suppkey[i]];
+            states.add_counts(&[g]);
+            states
+                .update_sum(0, &[g], &[t.extendedprice[i] * (1.0 - t.discount[i])])
+                .unwrap();
+        }
+        let out = states.finalize().unwrap();
         rank.iter()
-            .map(|(&suppkey, &g)| RevenueRow {
-                suppkey,
-                total_revenue: sums[g as usize],
-                count: counts[g as usize],
-            })
+            .map(|(&k, &g)| (k as i64, out.sums[0][g as usize], out.counts[g as usize]))
             .collect()
     }
 
     #[test]
     fn q15_selects_a_plausible_supplier_slice() {
         let t = table();
-        let (rows, _) = run_q15(&t, SumBackend::ReproUnbuffered).unwrap();
+        let r = run_q15(&t, SumBackend::ReproUnbuffered, &ExecOptions::serial());
         // ~3.4% of a 7-year window: thousands of suppliers see revenue.
-        assert!(rows.len() > 1_000, "{} suppliers", rows.len());
-        assert!(rows.windows(2).all(|w| w[0].suppkey < w[1].suppkey));
-        assert!(rows.iter().all(|r| r.total_revenue > 0.0 && r.count > 0));
-        let total_rows: u64 = rows.iter().map(|r| r.count).sum();
+        assert!(r.keys.len() > 1_000, "{} suppliers", r.keys.len());
+        assert!(r.keys.windows(2).all(|w| w[0] < w[1]));
+        assert!(r.columns[0].f64s().iter().all(|&v| v > 0.0));
+        assert!(r.columns[1].u64s().iter().all(|&c| c > 0));
+        let total_rows: u64 = r.columns[1].u64s().iter().sum();
         let frac = total_rows as f64 / t.len() as f64;
         assert!((0.01..0.08).contains(&frac), "selectivity {frac}");
     }
@@ -176,6 +66,7 @@ mod tests {
         let t = table();
         for backend in [
             SumBackend::Double,
+            SumBackend::SortedDouble,
             SumBackend::ReproUnbuffered,
             SumBackend::ReproBuffered { buffer_size: 64 },
             SumBackend::Rsum { levels: 2 },
@@ -185,16 +76,15 @@ mod tests {
             },
         ] {
             let expected = reference(&t, backend);
-            let (rows, _) = run_q15(&t, backend).unwrap();
-            assert_eq!(rows.len(), expected.len(), "{backend:?}");
-            for (a, b) in rows.iter().zip(&expected) {
-                assert_eq!(a.suppkey, b.suppkey, "{backend:?}");
-                assert_eq!(a.count, b.count, "{backend:?} supp {}", a.suppkey);
+            let r = run_q15(&t, backend, &ExecOptions::serial());
+            assert_eq!(r.keys.len(), expected.len(), "{backend:?}");
+            for (i, &(suppkey, revenue, count)) in expected.iter().enumerate() {
+                assert_eq!(r.keys[i], suppkey, "{backend:?}");
+                assert_eq!(r.columns[1].u64s()[i], count, "{backend:?} supp {suppkey}");
                 assert_eq!(
-                    a.total_revenue.to_bits(),
-                    b.total_revenue.to_bits(),
-                    "{backend:?} supp {}",
-                    a.suppkey
+                    r.columns[0].f64s()[i].to_bits(),
+                    revenue.to_bits(),
+                    "{backend:?} supp {suppkey}"
                 );
             }
         }
@@ -211,40 +101,28 @@ mod tests {
                 levels: 4,
                 buffer_size: 64,
             },
+            SumBackend::SortedDouble,
         ] {
-            let (serial, _) = run_q15(&t, backend).unwrap();
+            let serial = run_q15(&t, backend, &ExecOptions::serial());
             for threads in [2usize, 8] {
                 let opts = ExecOptions {
                     threads,
                     morsel_rows: 8192,
                     ..ExecOptions::default()
                 };
-                let (parallel, _) = run_q15_with(&t, backend, &opts).unwrap();
-                assert_eq!(serial.len(), parallel.len(), "{backend:?} t{threads}");
-                for (a, b) in serial.iter().zip(&parallel) {
-                    assert_eq!(a.suppkey, b.suppkey);
-                    assert_eq!(a.count, b.count);
-                    assert_eq!(
-                        a.total_revenue.to_bits(),
-                        b.total_revenue.to_bits(),
-                        "{backend:?} t{threads} supp {}",
-                        a.suppkey
-                    );
-                }
+                let parallel = run_q15(&t, backend, &opts);
+                assert_bitwise(&serial, &parallel, &format!("{backend:?} t{threads}"));
             }
         }
         // Plain doubles stay thread-independent too (serial scan).
-        let (serial, _) = run_q15(&t, SumBackend::Double).unwrap();
-        let (parallel, _) = run_q15_par(&t, SumBackend::Double).unwrap();
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.total_revenue.to_bits(), b.total_revenue.to_bits());
-        }
+        let serial = run_q15(&t, SumBackend::Double, &ExecOptions::serial());
+        let parallel = run_q15(&t, SumBackend::Double, &ExecOptions::parallel());
+        assert_bitwise(&serial, &parallel, "Double");
     }
 
     #[test]
     fn q15_is_physical_order_invariant_for_repro() {
         let t = table();
-        let (fwd, _) = run_q15(&t, SumBackend::ReproUnbuffered).unwrap();
         let rev = Lineitem::from_columns(
             t.quantity.iter().rev().copied().collect(),
             t.extendedprice.iter().rev().copied().collect(),
@@ -255,20 +133,9 @@ mod tests {
             t.linestatus.iter().rev().copied().collect(),
             t.suppkey.iter().rev().copied().collect(),
         );
-        let (bwd, _) = run_q15(&rev, SumBackend::ReproUnbuffered).unwrap();
-        assert_eq!(fwd.len(), bwd.len());
-        for (a, b) in fwd.iter().zip(&bwd) {
-            assert_eq!(a.suppkey, b.suppkey);
-            assert_eq!(a.count, b.count);
-            assert_eq!(a.total_revenue.to_bits(), b.total_revenue.to_bits());
-        }
-    }
-
-    #[test]
-    fn sorted_double_is_rejected() {
-        assert_eq!(
-            run_q15(&Lineitem::generate(100, 1), SumBackend::SortedDouble).unwrap_err(),
-            PlanError::Unsupported("SortedDouble requires the materializing pipeline")
-        );
+        let serial = ExecOptions::serial();
+        let fwd = run_q15(&t, SumBackend::ReproUnbuffered, &serial);
+        let bwd = run_q15(&rev, SumBackend::ReproUnbuffered, &serial);
+        assert_bitwise(&fwd, &bwd, "reversed rows");
     }
 }

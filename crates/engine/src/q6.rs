@@ -1,222 +1,23 @@
-//! TPC-H Query 6 — the forecasting-revenue-change query.
-//!
-//! ```sql
-//! SELECT sum(l_extendedprice * l_discount) AS revenue
-//! FROM lineitem
-//! WHERE l_shipdate >= date '1994-01-01'
-//!   AND l_shipdate <  date '1995-01-01'
-//!   AND l_discount BETWEEN 0.05 AND 0.07
-//!   AND l_quantity < 24;
-//! ```
-//!
-//! Q6 is the purest aggregation query in TPC-H: one un-grouped SUM over a
-//! selective predicate. It complements Q1 in the evaluation: Q1 stresses
-//! grouped aggregation, Q6 stresses the single-accumulator path (the §III
-//! summation kernel), and its result is a *single* float — the sharpest
-//! possible demonstration of run-to-run result flips.
-//!
-//! Q6 is expressed as a [`QueryPlan`] ([`q6_plan`]): one un-grouped SUM
-//! lowered onto the fused zero-copy scan ([`crate::fused`]). Each batch's
-//! revenue terms are evaluated into a reused scratch register and fed
-//! straight into the accumulator through the vectorized block kernel — no
-//! selection vector or term vector of length n ever exists.
-//! [`run_q6_materializing`] / [`run_q6_materializing_par`] keep the
-//! original three-pass pipeline as the differential-testing reference and
-//! as the [`SumBackend::SortedDouble`] host.
-
-use crate::expr::Expr;
-use crate::fused::ExecOptions;
-use crate::plan::{PlanError, QueryPlan};
-use crate::q1::{lineitem_table, PhaseTiming};
-use crate::sum_op::{sum_grouped, sum_grouped_par, OverflowError, SumBackend, SCAN_MORSEL_ROWS};
-use rayon::prelude::*;
-use rfa_workloads::tpch::Lineitem;
-use std::time::Instant;
-
-/// Q6 date window in days since 1992-01-01: [1994-01-01, 1995-01-01).
-pub const Q6_DATE_LO: i32 = 2 * 365;
-pub const Q6_DATE_HI: i32 = 3 * 365;
-
-/// The Q6 logical plan: three filter conjuncts in the SQL's order, one
-/// un-grouped SUM of `l_extendedprice * l_discount`.
-pub fn q6_plan() -> QueryPlan {
-    QueryPlan::scan("lineitem")
-        .filter(Expr::col("l_shipdate").ge(Expr::lit(Q6_DATE_LO as f64)))
-        .filter(Expr::col("l_shipdate").lt(Expr::lit(Q6_DATE_HI as f64)))
-        .filter(Expr::col("l_discount").between(Expr::lit(0.05), Expr::lit(0.07)))
-        .filter(Expr::col("l_quantity").lt(Expr::lit(24.0)))
-        .sum(Expr::col("l_extendedprice").mul(Expr::col("l_discount")))
-}
-
-/// The pinned Q6 SQL text: parsing and lowering this through
-/// [`crate::sql`] produces the identical lowered query as [`q6_plan`]
-/// (the dates are inlined as day numbers behind
-/// [`Q6_DATE_LO`]/[`Q6_DATE_HI`]), hence bit-identical results for every
-/// backend, thread count and batch shape.
-pub fn q6_sql() -> String {
-    format!(
-        "SELECT SUM(l_extendedprice * l_discount) \
-         FROM lineitem \
-         WHERE l_shipdate >= {Q6_DATE_LO} AND l_shipdate < {Q6_DATE_HI} \
-         AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24"
-    )
-}
-
-/// Executes Q6 serially through the fused pipeline (materializing for
-/// [`SumBackend::SortedDouble`]); returns (revenue, timing split).
-pub fn run_q6(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(f64, PhaseTiming), OverflowError> {
-    run_q6_with(lineitem, backend, &ExecOptions::serial())
-}
-
-/// Morsel-parallel Q6 on the work-stealing pool — bit-identical to
-/// [`run_q6`] for every backend (see [`crate::fused`] for why that holds
-/// even for plain doubles).
-pub fn run_q6_par(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(f64, PhaseTiming), OverflowError> {
-    run_q6_with(lineitem, backend, &ExecOptions::parallel())
-}
-
-/// Executes Q6 with explicit execution options. Bit-identical to
-/// [`run_q6_materializing`] for every backend and any options.
-pub fn run_q6_with(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-    opts: &ExecOptions,
-) -> Result<(f64, PhaseTiming), OverflowError> {
-    if backend == SumBackend::SortedDouble {
-        return if opts.threads > 1 {
-            run_q6_materializing_par(lineitem, backend)
-        } else {
-            run_q6_materializing(lineitem, backend)
-        };
-    }
-    let table = lineitem_table(lineitem);
-    let result = q6_plan()
-        .execute(&table, backend, opts)
-        .map_err(|e| match e {
-            PlanError::Overflow(o) => o,
-            other => unreachable!("the engine-built Q6 plan is valid: {other}"),
-        })?;
-    Ok((result.columns[0].f64s()[0], result.timing))
-}
-
-/// The original materializing pipeline: n-sized selection vector, term
-/// vector, then one SUM. Kept as the differential-testing reference and
-/// the [`SumBackend::SortedDouble`] host.
-pub fn run_q6_materializing(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(f64, PhaseTiming), OverflowError> {
-    let mut timing = PhaseTiming::default();
-    let t0 = Instant::now();
-
-    // --- scan: selection --------------------------------------------------
-    let sel: Vec<u32> = (0..lineitem.len() as u32)
-        .filter(|&i| {
-            let i = i as usize;
-            let d = lineitem.shipdate[i];
-            (Q6_DATE_LO..Q6_DATE_HI).contains(&d)
-                && (0.05..=0.07).contains(&lineitem.discount[i])
-                && lineitem.quantity[i] < 24.0
-        })
-        .collect();
-
-    // --- scan: expression evaluation --------------------------------------
-    let table = lineitem_table(lineitem);
-    let revenue_terms = Expr::col("l_extendedprice")
-        .mul(Expr::col("l_discount"))
-        .eval(&table, &sel)
-        .expect("columns exist");
-    timing.scan += t0.elapsed();
-
-    // --- other (SortedDouble only): deterministic total order ------------
-    let terms = if backend == SumBackend::SortedDouble {
-        let t2 = Instant::now();
-        let mut order: Vec<u32> = (0..revenue_terms.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| revenue_terms[i as usize].to_bits());
-        let sorted: Vec<f64> = order.iter().map(|&i| revenue_terms[i as usize]).collect();
-        timing.other += t2.elapsed();
-        sorted
-    } else {
-        revenue_terms
-    };
-
-    // --- aggregation: one un-grouped SUM ----------------------------------
-    let t1 = Instant::now();
-    let ids = vec![0u32; terms.len()];
-    let revenue = sum_grouped(backend, &ids, &terms, 1)?[0];
-    timing.aggregation += t1.elapsed();
-    Ok((revenue, timing))
-}
-
-/// Morsel-parallel materializing Q6: selection and the revenue-term
-/// expression run fused over morsels (per-morsel term fragments
-/// concatenated in morsel order — the serial term sequence), then the
-/// single SUM runs through [`sum_grouped_par`]. This is what
-/// [`SumBackend::SortedDouble`] runs under [`run_q6_par`]; its parallel
-/// sort lands in the serial path's total order.
-pub fn run_q6_materializing_par(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(f64, PhaseTiming), OverflowError> {
-    let mut timing = PhaseTiming::default();
-    let t0 = Instant::now();
-
-    // --- scan: fused morsel-parallel selection + expression eval ---------
-    let n = lineitem.len();
-    let terms = (0..n.div_ceil(SCAN_MORSEL_ROWS))
-        .into_par_iter()
-        .with_min_len(1)
-        .fold(Vec::new, |mut acc: Vec<f64>, m| {
-            let lo = m * SCAN_MORSEL_ROWS;
-            let hi = (lo + SCAN_MORSEL_ROWS).min(n);
-            for i in lo..hi {
-                if (Q6_DATE_LO..Q6_DATE_HI).contains(&lineitem.shipdate[i])
-                    && (0.05..=0.07).contains(&lineitem.discount[i])
-                    && lineitem.quantity[i] < 24.0
-                {
-                    acc.push(lineitem.extendedprice[i] * lineitem.discount[i]);
-                }
-            }
-            acc
-        })
-        .reduce(Vec::new, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        });
-    timing.scan += t0.elapsed();
-
-    // --- other (SortedDouble only): parallel sort into the serial path's
-    // total order.
-    let terms = if backend == SumBackend::SortedDouble {
-        let t2 = Instant::now();
-        let mut sorted = terms;
-        sorted.par_sort_unstable_by_key(|v| v.to_bits());
-        timing.other += t2.elapsed();
-        sorted
-    } else {
-        terms
-    };
-
-    // --- aggregation: one morsel-parallel SUM -----------------------------
-    let t1 = Instant::now();
-    let ids = vec![0u32; terms.len()];
-    let revenue = sum_grouped_par(backend, &ids, &terms, 1)?[0];
-    timing.aggregation += t1.elapsed();
-    Ok((revenue, timing))
-}
+//! Tests of TPC-H Q6 ([`crate::tpch::q6_plan`]): selectivity, backend
+//! agreement, and bit-identity across thread counts and row orders.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::q1::tests::assert_bitwise;
+    use crate::tpch::{lineitem_table, q6_plan, Q6_DATE_HI, Q6_DATE_LO};
+    use crate::{ExecOptions, SumBackend};
+    use rfa_workloads::Lineitem;
 
     fn table() -> Lineitem {
         Lineitem::generate(100_000, 11)
+    }
+
+    fn run_q6(t: &Lineitem, backend: SumBackend, opts: &ExecOptions) -> f64 {
+        q6_plan()
+            .execute(&lineitem_table(t), backend, opts)
+            .unwrap()
+            .columns[0]
+            .f64s()[0]
     }
 
     #[test]
@@ -237,17 +38,18 @@ mod tests {
     #[test]
     fn backends_agree() {
         let t = table();
-        let (d, _) = run_q6(&t, SumBackend::Double).unwrap();
-        let (r, _) = run_q6(&t, SumBackend::Rsum { levels: 3 }).unwrap();
-        let (b, _) = run_q6(
+        let serial = ExecOptions::serial();
+        let d = run_q6(&t, SumBackend::Double, &serial);
+        let r = run_q6(&t, SumBackend::Rsum { levels: 3 }, &serial);
+        let b = run_q6(
             &t,
             SumBackend::RsumBuffered {
                 levels: 3,
                 buffer_size: 512,
             },
-        )
-        .unwrap();
-        let (s, _) = run_q6(&t, SumBackend::SortedDouble).unwrap();
+            &serial,
+        );
+        let s = run_q6(&t, SumBackend::SortedDouble, &serial);
         assert!((d - r).abs() <= 1e-9 * d.abs());
         assert!((d - s).abs() <= 1e-9 * d.abs());
         assert_eq!(r.to_bits(), b.to_bits());
@@ -255,27 +57,8 @@ mod tests {
     }
 
     #[test]
-    fn fused_is_bit_identical_to_materializing_for_every_backend() {
-        let t = table();
-        for backend in [
-            SumBackend::Double,
-            SumBackend::ReproUnbuffered,
-            SumBackend::ReproBuffered { buffer_size: 256 },
-            SumBackend::Rsum { levels: 2 },
-            SumBackend::RsumBuffered {
-                levels: 4,
-                buffer_size: 128,
-            },
-        ] {
-            let (reference, _) = run_q6_materializing(&t, backend).unwrap();
-            let (fused, _) = run_q6(&t, backend).unwrap();
-            assert_eq!(reference.to_bits(), fused.to_bits(), "{backend:?}");
-        }
-    }
-
-    #[test]
     fn parallel_scan_is_bit_identical_to_serial_for_every_backend() {
-        let t = table();
+        let t = lineitem_table(&table());
         for backend in [
             SumBackend::Double,
             SumBackend::Rsum { levels: 2 },
@@ -288,16 +71,19 @@ mod tests {
             SumBackend::ReproBuffered { buffer_size: 256 },
             SumBackend::SortedDouble,
         ] {
-            let (serial, _) = run_q6(&t, backend).unwrap();
-            let (parallel, _) = run_q6_par(&t, backend).unwrap();
-            assert_eq!(serial.to_bits(), parallel.to_bits(), "{backend:?}");
+            let serial = q6_plan()
+                .execute(&t, backend, &ExecOptions::serial())
+                .unwrap();
+            let parallel = q6_plan()
+                .execute(&t, backend, &ExecOptions::parallel())
+                .unwrap();
+            assert_bitwise(&serial, &parallel, &format!("{backend:?}"));
         }
     }
 
     #[test]
     fn repro_backend_is_reorder_invariant() {
         let t = table();
-        let (r1, _) = run_q6(&t, SumBackend::Rsum { levels: 2 }).unwrap();
         // Physically reverse all columns.
         let rev = Lineitem::from_columns(
             t.quantity.iter().rev().copied().collect(),
@@ -309,14 +95,17 @@ mod tests {
             t.linestatus.iter().rev().copied().collect(),
             t.suppkey.iter().rev().copied().collect(),
         );
-        let (r2, _) = run_q6(&rev, SumBackend::Rsum { levels: 2 }).unwrap();
-        assert_eq!(r1.to_bits(), r2.to_bits());
+        let serial = ExecOptions::serial();
+        for backend in [SumBackend::Rsum { levels: 2 }, SumBackend::SortedDouble] {
+            let r1 = run_q6(&t, backend, &serial);
+            let r2 = run_q6(&rev, backend, &serial);
+            assert_eq!(r1.to_bits(), r2.to_bits(), "{backend:?}");
+        }
         // And the plain double is not (on 100k rows it virtually always
         // differs in the last bits; if equal, the test data got lucky —
-        // use the sum-of-permutation check instead of a hard inequality).
-        let (d1, _) = run_q6(&t, SumBackend::Double).unwrap();
-        let (d2, _) = run_q6(&rev, SumBackend::Double).unwrap();
-        assert!((d1 - d2).abs() <= 1e-6 * d1.abs()); // numerically equal...
-                                                     // ...but generally not bitwise (not asserted: probabilistic).
+        // so only numeric equality is asserted).
+        let d1 = run_q6(&t, SumBackend::Double, &serial);
+        let d2 = run_q6(&rev, SumBackend::Double, &serial);
+        assert!((d1 - d2).abs() <= 1e-6 * d1.abs());
     }
 }

@@ -36,9 +36,9 @@
 //! *below* the frontend, on structural [`Expr`] equality, so
 //! `SUM(x * (1 - y))` and `AVG(x * (1 - y))` share one state no matter
 //! whether the two expressions came from one SQL string, two SQL strings,
-//! or the builder. The pinned TPC-H texts ([`crate::q1::q1_sql`],
-//! [`crate::q6::q6_sql`], [`crate::q15::q15_sql`]) are proptested
-//! bit-identical to their builder plans across all fused backends and
+//! or the builder. The pinned TPC-H texts ([`crate::tpch::q1_sql`],
+//! [`crate::tpch::q6_sql`], [`crate::tpch::q15_sql`]) are proptested
+//! bit-identical to their builder plans across all six backends and
 //! thread counts.
 //!
 //! No parse, resolution or execution failure panics: everything surfaces
@@ -47,9 +47,8 @@
 
 use crate::column::Table;
 use crate::expr::{BoolExpr, CmpOp, Expr, NUMERIC_EXPECTED};
-use crate::fused::ExecOptions;
+use crate::fused::{ExecOptions, PhaseTiming};
 use crate::plan::{AggCall, PlanError, PlanResult, QueryPlan};
-use crate::q1::PhaseTiming;
 use crate::sum_op::SumBackend;
 use std::fmt;
 
@@ -1618,17 +1617,72 @@ mod tests {
         );
     }
 
+    /// Runs the pinned Q6 text on `backend` and returns its error.
+    fn q6_error(backend: SumBackend) -> SqlError {
+        let t = crate::tpch::lineitem_table(&rfa_workloads::Lineitem::generate(256, 5));
+        sql_query(&crate::tpch::q6_sql(), &t)
+            .unwrap()
+            .execute(&t, backend, &ExecOptions::serial())
+            .unwrap_err()
+    }
+
+    fn invalid(backend: SumBackend, reason: &'static str) -> SqlError {
+        SqlError::Plan(PlanError::InvalidBackend { backend, reason })
+    }
+
     #[test]
-    fn sorted_double_is_a_typed_error_through_sql() {
-        let t = sensor_table();
-        let q = sql_query("SELECT SUM(temp) FROM sensors", &t).unwrap();
+    fn rsum_zero_levels_is_a_typed_error_through_sql() {
+        let b = SumBackend::Rsum { levels: 0 };
+        assert_eq!(q6_error(b), invalid(b, "RSUM levels must be in 1..=4"));
+    }
+
+    #[test]
+    fn rsum_buffered_nine_levels_is_a_typed_error_through_sql() {
+        let b = SumBackend::RsumBuffered {
+            levels: 9,
+            buffer_size: 64,
+        };
+        assert_eq!(q6_error(b), invalid(b, "RSUM levels must be in 1..=4"));
+    }
+
+    #[test]
+    fn zero_buffer_size_is_a_typed_error_through_sql() {
+        let b = SumBackend::ReproBuffered { buffer_size: 0 };
         assert_eq!(
-            q.execute(&t, SumBackend::SortedDouble, &ExecOptions::serial())
-                .unwrap_err(),
-            SqlError::Plan(PlanError::Unsupported(
-                "SortedDouble requires the materializing pipeline"
-            ))
+            q6_error(b),
+            invalid(b, "summation buffer size must be in 1..=65536")
         );
+    }
+
+    #[test]
+    fn oversized_buffer_is_a_typed_error_through_sql() {
+        let b = SumBackend::ReproBuffered {
+            buffer_size: u32::MAX as usize,
+        };
+        assert_eq!(
+            q6_error(b),
+            invalid(b, "summation buffer size must be in 1..=65536")
+        );
+    }
+
+    #[test]
+    fn sorted_double_overflow_is_a_typed_error_through_sql() {
+        let mut t = Table::new("t");
+        t.add_column("k", Column::i32(vec![1, 2, 1])).unwrap();
+        t.add_column("v", Column::f64(vec![f64::MAX, 1.0, f64::MAX]))
+            .unwrap();
+        let q = sql_query("SELECT k, SUM(v) FROM t GROUP BY k", &t).unwrap();
+        for threads in [1, 2] {
+            let opts = ExecOptions {
+                threads,
+                morsel_rows: 1,
+                ..ExecOptions::default()
+            };
+            assert_eq!(
+                q.execute(&t, SumBackend::SortedDouble, &opts).unwrap_err(),
+                SqlError::Plan(PlanError::Overflow(crate::OverflowError))
+            );
+        }
     }
 
     #[test]
@@ -1669,9 +1723,9 @@ mod tests {
     #[test]
     fn pinned_tpch_sql_round_trips_through_the_printer() {
         for sql in [
-            crate::q1::q1_sql(),
-            crate::q6::q6_sql(),
-            crate::q15::q15_sql(),
+            crate::tpch::q1_sql(),
+            crate::tpch::q6_sql(),
+            crate::tpch::q15_sql(),
         ] {
             let ast = parse_select(&sql).unwrap();
             let printed = ast.to_string();

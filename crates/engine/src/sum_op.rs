@@ -11,10 +11,7 @@
 //!
 //! The operator state is reified as [`GroupedSums`]: an incremental,
 //! mergeable per-group accumulator array that the fused scan pipeline
-//! (`crate::fused`) feeds batch-at-a-time, and that the one-shot
-//! [`sum_grouped`] / [`sum_grouped_par`] wrappers drive over materialized
-//! arrays. Both drivers perform the identical per-slot operation sequence,
-//! which is what makes fused and materializing execution bit-identical.
+//! (`crate::fused`) feeds batch-at-a-time and merges across morsels.
 //!
 //! Backends:
 //!
@@ -25,14 +22,14 @@
 //! * [`SumBackend::ReproUnbuffered`] — `repro<double, L>` per group.
 //! * [`SumBackend::ReproBuffered`] — `repro<double, L>` with summation
 //!   buffers.
-//! * [`SumBackend::SortedDouble`] — assumes the caller sorted the input
-//!   into a total deterministic order; sums runs sequentially (the
-//!   "sort the input" baseline of Table IV).
+//! * [`SumBackend::SortedDouble`] — the "sort the input" baseline of
+//!   Table IV: each group keeps its values, and finalization sorts them
+//!   into `f64::total_cmp` order and sums them with `Double`'s overflow
+//!   check. The result depends only on the group's multiset of values.
 
-use rayon::prelude::*;
 use rfa_core::{simd, ReproSum, SummationBuffer};
 
-/// Rows per morsel in the engine's parallel scans and aggregations.
+/// Rows per morsel in the engine's parallel scans.
 pub const SCAN_MORSEL_ROWS: usize = 1 << 16;
 
 /// Numeric backend of the grouped SUM operator.
@@ -44,7 +41,8 @@ pub enum SumBackend {
     ReproUnbuffered,
     /// `repro<double, 4>` with summation buffers of the given size.
     ReproBuffered { buffer_size: usize },
-    /// Plain double over pre-sorted input (reproducible via ordering).
+    /// Plain double over each group's values sorted by `f64::total_cmp`
+    /// (reproducible via ordering).
     SortedDouble,
     /// The paper's §V-D user-facing vision: `RSUM(⟨expression⟩, L)` — a
     /// reproducible sum with caller-chosen precision `L ∈ 1..=4`
@@ -56,11 +54,11 @@ pub enum SumBackend {
 
 impl SumBackend {
     /// Whether per-group states merge *exactly*, making any morsel/thread
-    /// schedule bit-identical to serial execution. Plain doubles (and the
-    /// sorted baseline, whose whole argument is one fixed sequential
-    /// order) do not merge exactly.
+    /// schedule bit-identical to serial execution. Every backend but plain
+    /// doubles finalizes to a pure function of each group's multiset of
+    /// values (the sorted baseline sorts that multiset before summing).
     pub fn merges_exactly(self) -> bool {
-        !matches!(self, SumBackend::Double | SumBackend::SortedDouble)
+        self != SumBackend::Double
     }
 }
 
@@ -198,14 +196,16 @@ impl<const L: usize> BufStates<L> {
 /// batch-at-a-time and mergeable across morsels.
 ///
 /// For a given input split into batches in row order, the per-slot
-/// operation sequence is identical to a single [`sum_grouped`] pass, so
-/// batched (fused) and one-shot (materializing) execution finalize to the
-/// same bits for *every* backend. [`SumBackend::SortedDouble`] sums like
-/// `Double` — the sort that justifies it is the caller's job.
+/// operation sequence does not depend on the batch boundaries, so batched
+/// and one-row-at-a-time deposits finalize to the same bits for *every*
+/// backend. [`SumBackend::SortedDouble`] keeps each group's values and
+/// sorts them at [`GroupedSums::finalize`], so its bits depend only on
+/// each group's multiset of values.
 pub struct GroupedSums(Inner);
 
 enum Inner {
     Double(Vec<f64>),
+    Sorted(Vec<Vec<f64>>),
     Repro1(ReproStates<1>),
     Repro2(ReproStates<2>),
     Repro3(ReproStates<3>),
@@ -220,7 +220,8 @@ impl GroupedSums {
     /// Creates zeroed per-group states for `groups` dense group ids.
     pub fn new(backend: SumBackend, groups: usize) -> Self {
         GroupedSums(match backend {
-            SumBackend::Double | SumBackend::SortedDouble => Inner::Double(vec![0.0; groups]),
+            SumBackend::Double => Inner::Double(vec![0.0; groups]),
+            SumBackend::SortedDouble => Inner::Sorted(vec![Vec::new(); groups]),
             SumBackend::ReproUnbuffered => Inner::Repro4(ReproStates::new(groups)),
             SumBackend::ReproBuffered { buffer_size } => {
                 Inner::Buf4(BufStates::new(groups, buffer_size))
@@ -257,6 +258,11 @@ impl GroupedSums {
                     }
                 }
             }
+            Inner::Sorted(groups) => {
+                for (&g, &v) in group_ids.iter().zip(values.iter()) {
+                    groups[g as usize].push(v);
+                }
+            }
             Inner::Repro1(s) => s.update(group_ids, values),
             Inner::Repro2(s) => s.update(group_ids, values),
             Inner::Repro3(s) => s.update(group_ids, values),
@@ -283,6 +289,7 @@ impl GroupedSums {
                     }
                 }
             }
+            Inner::Sorted(groups) => groups[0].extend_from_slice(values),
             Inner::Repro1(s) => s.update_single(values),
             Inner::Repro2(s) => s.update_single(values),
             Inner::Repro3(s) => s.update_single(values),
@@ -313,6 +320,7 @@ impl GroupedSums {
                     }
                 }
             }
+            Inner::Sorted(groups) => groups[group].extend_from_slice(values),
             Inner::Repro1(s) => s.update_run(group, values),
             Inner::Repro2(s) => s.update_run(group, values),
             Inner::Repro3(s) => s.update_run(group, values),
@@ -330,7 +338,8 @@ impl GroupedSums {
     /// backend the result is bit-identical to `k` per-row deposits
     /// ([`rfa_core::ReproSum::add_scaled`], DESIGN.md §26); this is the
     /// state-level primitive behind the fused executor's RLE-run and
-    /// dictionary-histogram aggregate pushdown.
+    /// dictionary-histogram aggregate pushdown. The sorted baseline
+    /// appends `k` copies of `v` to the group's values.
     ///
     /// The `Double` backend has no algebraic shortcut — plain doubles are
     /// order-sensitive, `k·v ≠ v + … + v` in general — so it keeps the
@@ -349,6 +358,7 @@ impl GroupedSums {
                     }
                 }
             }
+            Inner::Sorted(groups) => groups[group].extend(std::iter::repeat_n(v, k as usize)),
             Inner::Repro1(s) => s.update_scaled(group, v, k),
             Inner::Repro2(s) => s.update_scaled(group, v, k),
             Inner::Repro3(s) => s.update_scaled(group, v, k),
@@ -365,6 +375,7 @@ impl GroupedSums {
     pub fn groups(&self) -> usize {
         match &self.0 {
             Inner::Double(acc) => acc.len(),
+            Inner::Sorted(groups) => groups.len(),
             Inner::Repro1(s) => s.0.len(),
             Inner::Repro2(s) => s.0.len(),
             Inner::Repro3(s) => s.0.len(),
@@ -381,6 +392,7 @@ impl GroupedSums {
     pub fn push_groups(&mut self, n: usize) {
         match &mut self.0 {
             Inner::Double(acc) => acc.resize(acc.len() + n, 0.0),
+            Inner::Sorted(groups) => groups.resize_with(groups.len() + n, Vec::new),
             Inner::Repro1(s) => s.push_groups(n),
             Inner::Repro2(s) => s.push_groups(n),
             Inner::Repro3(s) => s.push_groups(n),
@@ -397,6 +409,7 @@ impl GroupedSums {
     pub fn reserve_groups(&mut self, additional: usize) {
         match &mut self.0 {
             Inner::Double(acc) => acc.reserve(additional),
+            Inner::Sorted(groups) => groups.reserve(additional),
             Inner::Repro1(s) => s.0.reserve(additional),
             Inner::Repro2(s) => s.0.reserve(additional),
             Inner::Repro3(s) => s.0.reserve(additional),
@@ -411,7 +424,8 @@ impl GroupedSums {
     /// Merges one group slot of `other` into one slot of `self` — the
     /// keyed merge of hash-grouped partials, where the same group key may
     /// live at different dense slots on different morsels. Exact for the
-    /// repro backends, a checked addition for doubles, exactly like
+    /// repro backends, a concatenation of value lists for the sorted
+    /// baseline, a checked addition for doubles, exactly like
     /// [`GroupedSums::merge`].
     pub fn merge_slot(
         &mut self,
@@ -425,6 +439,10 @@ impl GroupedSums {
                 if !a[dst].is_finite() {
                     return Err(OverflowError);
                 }
+            }
+            (Inner::Sorted(a), Inner::Sorted(b)) => {
+                let moved = std::mem::take(&mut b[src]);
+                a[dst].extend(moved);
             }
             (Inner::Repro1(a), Inner::Repro1(b)) => a.0[dst].merge(&b.0[src]),
             (Inner::Repro2(a), Inner::Repro2(b)) => a.0[dst].merge(&b.0[src]),
@@ -440,8 +458,8 @@ impl GroupedSums {
     }
 
     /// Merges another state array of the same backend and group count.
-    /// Exact (bit-transparent) for the repro backends; a plain checked
-    /// addition per group for doubles.
+    /// Exact (bit-transparent) for the repro backends and the sorted
+    /// baseline; a plain checked addition per group for doubles.
     pub fn merge(&mut self, other: GroupedSums) -> Result<(), OverflowError> {
         match (&mut self.0, other.0) {
             (Inner::Double(a), Inner::Double(b)) => {
@@ -450,6 +468,11 @@ impl GroupedSums {
                     if !x.is_finite() {
                         return Err(OverflowError);
                     }
+                }
+            }
+            (Inner::Sorted(a), Inner::Sorted(b)) => {
+                for (x, y) in a.iter_mut().zip(b) {
+                    x.extend(y);
                 }
             }
             (Inner::Repro1(a), Inner::Repro1(b)) => a.merge(&b),
@@ -465,10 +488,14 @@ impl GroupedSums {
         Ok(())
     }
 
-    /// Rounds every group state to a double.
+    /// Rounds every group state to a double. A
+    /// [`SumBackend::SortedDouble`] group whose sorted sum overflows
+    /// finalizes to a non-finite value; [`GroupedStates::finalize`]
+    /// reports that as [`OverflowError`].
     pub fn finalize(self) -> Vec<f64> {
         match self.0 {
             Inner::Double(acc) => acc,
+            Inner::Sorted(groups) => groups.into_iter().map(sorted_sum).collect(),
             Inner::Repro1(s) => s.finalize(),
             Inner::Repro2(s) => s.finalize(),
             Inner::Repro3(s) => s.finalize(),
@@ -778,13 +805,25 @@ impl GroupedStates {
     }
 
     /// Rounds every SUM state to a double and hands all arrays out.
-    pub fn finalize(self) -> GroupedOutput {
-        GroupedOutput {
+    /// Fails with [`OverflowError`] when a [`SumBackend::SortedDouble`]
+    /// group's sorted sum overflows (the other backends report overflow
+    /// as they deposit).
+    pub fn finalize(self) -> Result<GroupedOutput, OverflowError> {
+        let mut sums = Vec::with_capacity(self.sums.len());
+        for s in self.sums {
+            let sorted = matches!(s.0, Inner::Sorted(_));
+            let out = s.finalize();
+            if sorted && out.iter().any(|v| !v.is_finite()) {
+                return Err(OverflowError);
+            }
+            sums.push(out);
+        }
+        Ok(GroupedOutput {
             counts: self.counts,
-            sums: self.sums.into_iter().map(GroupedSums::finalize).collect(),
+            sums,
             mins: self.mins,
             maxs: self.maxs,
-        }
+        })
     }
 }
 
@@ -796,81 +835,58 @@ fn checked_levels(levels: u8) -> u8 {
 /// Asserts the default level mapping stays in sync with the paper.
 const _: () = assert!(LEVELS == 4);
 
-/// Sums `values[i]` into per-group slots `group_ids[i]` (dense ids in
-/// `0..groups`). Returns one double per group.
-pub fn sum_grouped(
-    backend: SumBackend,
-    group_ids: &[u32],
-    values: &[f64],
-    groups: usize,
-) -> Result<Vec<f64>, OverflowError> {
-    assert_eq!(group_ids.len(), values.len());
-    let mut state = GroupedSums::new(backend, groups);
-    state.update(group_ids, values)?;
-    Ok(state.finalize())
-}
-
-/// Morsel-parallel variant of [`sum_grouped`]: each pool task aggregates a
-/// fixed-size morsel into private per-group states, which merge pairwise
-/// along the deterministic split tree of the parallel reduction.
-///
-/// Reproducibility: for the `repro` backends state merging is *exact*, so
-/// the result is bit-identical to [`sum_grouped`] (and to any thread
-/// count or morsel schedule) — the paper's core claim carried into the
-/// engine. For [`SumBackend::Double`] the merge order differs from the
-/// serial left-to-right sum, so results are deterministic for a given
-/// input length but generally not bit-identical to the serial path (plain
-/// doubles are order-sensitive; that is the point).
-/// [`SumBackend::SortedDouble`] delegates to the serial sum — its whole
-/// reproducibility argument is the fixed sequential order.
-pub fn sum_grouped_par(
-    backend: SumBackend,
-    group_ids: &[u32],
-    values: &[f64],
-    groups: usize,
-) -> Result<Vec<f64>, OverflowError> {
-    assert_eq!(group_ids.len(), values.len());
-    if backend == SumBackend::SortedDouble {
-        return sum_grouped(backend, group_ids, values, groups);
-    }
-    let n = group_ids.len();
-    let merged = (0..n.div_ceil(SCAN_MORSEL_ROWS))
-        .into_par_iter()
-        .with_min_len(1)
-        .map(|m| {
-            let lo = m * SCAN_MORSEL_ROWS;
-            let hi = (lo + SCAN_MORSEL_ROWS).min(n);
-            let mut state = GroupedSums::new(backend, groups);
-            state.update(&group_ids[lo..hi], &values[lo..hi])?;
-            Ok(Some(state))
-        })
-        .reduce(
-            || Ok(None),
-            |a: Result<Option<GroupedSums>, OverflowError>, b| match (a?, b?) {
-                (Some(mut x), Some(y)) => {
-                    x.merge(y)?;
-                    Ok(Some(x))
-                }
-                (x, y) => Ok(x.or(y)),
-            },
-        )?;
-    Ok(merged
-        .unwrap_or_else(|| GroupedSums::new(backend, groups))
-        .finalize())
-}
-
-/// Per-group COUNT (shared by all backends; integer, always reproducible).
-pub fn count_grouped(group_ids: &[u32], groups: usize) -> Vec<u64> {
-    let mut counts = vec![0u64; groups];
-    for &g in group_ids {
-        counts[g as usize] += 1;
-    }
-    counts
+/// The sorted baseline's per-group result: the values in
+/// `f64::total_cmp` order, summed left to right from `0.0` like the
+/// `Double` backend. Values that tie under `total_cmp` are bit-identical,
+/// so the unstable sort yields one sequence per multiset. A partial sum
+/// that leaves the finite range stays non-finite to the end, so checking
+/// the result alone matches `Double`'s per-element overflow check.
+fn sorted_sum(mut values: Vec<f64>) -> f64 {
+    values.sort_unstable_by(f64::total_cmp);
+    values.iter().fold(0.0, |acc, &v| acc + v)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rayon::prelude::*;
+
+    /// All rows in one `update`, then finalize.
+    fn sum_once(
+        backend: SumBackend,
+        ids: &[u32],
+        values: &[f64],
+        groups: usize,
+    ) -> Result<Vec<f64>, OverflowError> {
+        let mut state = GroupedSums::new(backend, groups);
+        state.update(ids, values)?;
+        Ok(state.finalize())
+    }
+
+    /// Per-morsel states built on the pool, merged in morsel order.
+    fn sum_morsels(
+        backend: SumBackend,
+        ids: &[u32],
+        values: &[f64],
+        groups: usize,
+    ) -> Result<Vec<f64>, OverflowError> {
+        let parts: Vec<Result<GroupedSums, OverflowError>> =
+            (0..ids.len().div_ceil(SCAN_MORSEL_ROWS))
+                .into_par_iter()
+                .map(|m| {
+                    let lo = m * SCAN_MORSEL_ROWS;
+                    let hi = (lo + SCAN_MORSEL_ROWS).min(ids.len());
+                    let mut state = GroupedSums::new(backend, groups);
+                    state.update(&ids[lo..hi], &values[lo..hi])?;
+                    Ok(state)
+                })
+                .collect();
+        let mut merged = GroupedSums::new(backend, groups);
+        for part in parts {
+            merged.merge(part?)?;
+        }
+        Ok(merged.finalize())
+    }
 
     fn workload() -> (Vec<u32>, Vec<f64>) {
         let n = 40_000;
@@ -890,9 +906,9 @@ mod tests {
     #[test]
     fn all_backends_agree_approximately() {
         let (ids, values) = workload();
-        let d = sum_grouped(SumBackend::Double, &ids, &values, 4).unwrap();
-        let u = sum_grouped(SumBackend::ReproUnbuffered, &ids, &values, 4).unwrap();
-        let b = sum_grouped(
+        let d = sum_once(SumBackend::Double, &ids, &values, 4).unwrap();
+        let u = sum_once(SumBackend::ReproUnbuffered, &ids, &values, 4).unwrap();
+        let b = sum_once(
             SumBackend::ReproBuffered { buffer_size: 512 },
             &ids,
             &values,
@@ -916,9 +932,10 @@ mod tests {
         for backend in [
             SumBackend::ReproUnbuffered,
             SumBackend::ReproBuffered { buffer_size: 64 },
+            SumBackend::SortedDouble,
         ] {
-            let a = sum_grouped(backend, &ids, &values, 4).unwrap();
-            let b = sum_grouped(backend, &rids, &rvalues, 4).unwrap();
+            let a = sum_once(backend, &ids, &values, 4).unwrap();
+            let b = sum_once(backend, &rids, &rvalues, 4).unwrap();
             for g in 0..4 {
                 assert_eq!(a[g].to_bits(), b[g].to_bits(), "{backend:?} group {g}");
             }
@@ -930,7 +947,7 @@ mod tests {
         let ids = vec![0u32, 0];
         let values = vec![f64::MAX, f64::MAX];
         assert_eq!(
-            sum_grouped(SumBackend::Double, &ids, &values, 1),
+            sum_once(SumBackend::Double, &ids, &values, 1),
             Err(OverflowError)
         );
     }
@@ -951,9 +968,10 @@ mod tests {
                 levels: 2,
                 buffer_size: 64,
             },
+            SumBackend::SortedDouble,
         ] {
-            let serial = sum_grouped(backend, &ids, &values, 4).unwrap();
-            let parallel = sum_grouped_par(backend, &ids, &values, 4).unwrap();
+            let serial = sum_once(backend, &ids, &values, 4).unwrap();
+            let parallel = sum_morsels(backend, &ids, &values, 4).unwrap();
             for g in 0..4 {
                 assert_eq!(
                     serial[g].to_bits(),
@@ -963,11 +981,26 @@ mod tests {
             }
         }
         // Plain doubles: numerically equal, bitwise not asserted.
-        let serial = sum_grouped(SumBackend::Double, &ids, &values, 4).unwrap();
-        let parallel = sum_grouped_par(SumBackend::Double, &ids, &values, 4).unwrap();
+        let serial = sum_once(SumBackend::Double, &ids, &values, 4).unwrap();
+        let parallel = sum_morsels(SumBackend::Double, &ids, &values, 4).unwrap();
         for g in 0..4 {
             assert!((serial[g] - parallel[g]).abs() <= 1e-9 * serial[g].abs().max(1.0));
         }
+    }
+
+    #[test]
+    fn sorted_double_overflow_surfaces_at_finalize() {
+        // Deposits never fail: the overflow shows once the sorted sum runs.
+        let mut s = GroupedStates::new(SumBackend::SortedDouble, 2, 1, 0, 0);
+        s.update_sum(0, &[1, 0, 1], &[f64::MAX, 1.0, f64::MAX])
+            .unwrap();
+        assert_eq!(s.finalize().err(), Some(OverflowError));
+        // Extremes of opposite sign stay in range: sorted, -MAX absorbs
+        // the 2.0 before MAX cancels it, as in any sequential double sum.
+        let mut s = GroupedStates::new(SumBackend::SortedDouble, 1, 1, 0, 0);
+        s.update_sum(0, &[0, 0, 0], &[f64::MAX, 2.0, -f64::MAX])
+            .unwrap();
+        assert_eq!(s.finalize().unwrap().sums[0], vec![0.0]);
     }
 
     #[test]
@@ -978,33 +1011,34 @@ mod tests {
         values[SCAN_MORSEL_ROWS] = f64::MAX;
         values[SCAN_MORSEL_ROWS + 1] = f64::MAX;
         assert_eq!(
-            sum_grouped_par(SumBackend::Double, &ids, &values, 1),
+            sum_morsels(SumBackend::Double, &ids, &values, 1),
             Err(OverflowError)
         );
     }
 
     #[test]
     fn counts() {
-        let ids = vec![0u32, 1, 1, 2, 1];
-        assert_eq!(count_grouped(&ids, 3), vec![1, 3, 1]);
+        let mut s = GroupedStates::new(SumBackend::Double, 3, 0, 0, 0);
+        s.add_counts(&[0, 1, 1, 2, 1]);
+        assert_eq!(s.counts(), &[1, 3, 1]);
     }
 
     #[test]
     fn rsum_levels_match_fixed_level_backends() {
         let (ids, values) = workload();
-        let fixed = sum_grouped(SumBackend::ReproUnbuffered, &ids, &values, 4).unwrap();
-        let dynamic = sum_grouped(SumBackend::Rsum { levels: 4 }, &ids, &values, 4).unwrap();
+        let fixed = sum_once(SumBackend::ReproUnbuffered, &ids, &values, 4).unwrap();
+        let dynamic = sum_once(SumBackend::Rsum { levels: 4 }, &ids, &values, 4).unwrap();
         for g in 0..4 {
             assert_eq!(fixed[g].to_bits(), dynamic[g].to_bits());
         }
-        let fixed = sum_grouped(
+        let fixed = sum_once(
             SumBackend::ReproBuffered { buffer_size: 128 },
             &ids,
             &values,
             4,
         )
         .unwrap();
-        let dynamic = sum_grouped(
+        let dynamic = sum_once(
             SumBackend::RsumBuffered {
                 levels: 4,
                 buffer_size: 128,
@@ -1024,8 +1058,8 @@ mod tests {
         // 1e16 + 1 - 1e16 per group: L=2 loses the 1.0, L=3 keeps it.
         let ids = vec![0u32, 0, 0];
         let values = vec![1e16, 1.0, -1e16];
-        let l2 = sum_grouped(SumBackend::Rsum { levels: 2 }, &ids, &values, 1).unwrap();
-        let l3 = sum_grouped(SumBackend::Rsum { levels: 3 }, &ids, &values, 1).unwrap();
+        let l2 = sum_once(SumBackend::Rsum { levels: 2 }, &ids, &values, 1).unwrap();
+        let l3 = sum_once(SumBackend::Rsum { levels: 3 }, &ids, &values, 1).unwrap();
         assert_eq!(l2[0], 0.0);
         assert_eq!(l3[0], 1.0);
     }
@@ -1033,7 +1067,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "RSUM levels must be in 1..=4")]
     fn rsum_rejects_invalid_levels() {
-        let _ = sum_grouped(SumBackend::Rsum { levels: 9 }, &[0], &[1.0], 1);
+        let _ = sum_once(SumBackend::Rsum { levels: 9 }, &[0], &[1.0], 1);
     }
 
     #[test]
@@ -1043,6 +1077,7 @@ mod tests {
         let (ids, values) = workload();
         for backend in [
             SumBackend::Double,
+            SumBackend::SortedDouble,
             SumBackend::ReproUnbuffered,
             SumBackend::ReproBuffered { buffer_size: 96 },
             SumBackend::Rsum { levels: 2 },
@@ -1051,7 +1086,7 @@ mod tests {
                 buffer_size: 64,
             },
         ] {
-            let reference = sum_grouped(backend, &ids, &values, 4).unwrap();
+            let reference = sum_once(backend, &ids, &values, 4).unwrap();
             for batch in [1usize, 7, 256, 4096] {
                 let mut state = GroupedSums::new(backend, 4);
                 for (ic, vc) in ids.chunks(batch).zip(values.chunks(batch)) {
@@ -1083,8 +1118,9 @@ mod tests {
                 levels: 3,
                 buffer_size: 32,
             },
+            SumBackend::SortedDouble,
         ] {
-            let reference = sum_grouped(backend, &ids, &values, 4).unwrap();
+            let reference = sum_once(backend, &ids, &values, 4).unwrap();
             // Split the input, aggregate the halves into states whose
             // group slots were grown incrementally and *permuted* relative
             // to each other, then merge slot-by-slot via merge_slot.
@@ -1111,7 +1147,7 @@ mod tests {
         }
         // Double: merge_slot is a checked addition of subtotals —
         // numerically equal, overflow still detected.
-        let reference = sum_grouped(SumBackend::Double, &ids, &values, 4).unwrap();
+        let reference = sum_once(SumBackend::Double, &ids, &values, 4).unwrap();
         let mid = ids.len() / 2;
         let mut a = GroupedSums::new(SumBackend::Double, 4);
         a.update(&ids[..mid], &values[..mid]).unwrap();
@@ -1141,7 +1177,7 @@ mod tests {
         whole.update_sum(0, &ids, &values).unwrap();
         whole.update_min(0, &ids, &values);
         whole.update_max(0, &ids, &values);
-        let whole = whole.finalize();
+        let whole = whole.finalize().unwrap();
         // Batched halves merged like two morsels.
         let mid = ids.len() / 2 + 7;
         let mut left = GroupedStates::new(backend, 4, 1, 1, 1);
@@ -1155,7 +1191,7 @@ mod tests {
         right.update_min(0, &ids[mid..], &values[mid..]);
         right.update_max(0, &ids[mid..], &values[mid..]);
         left.merge(right).unwrap();
-        let merged = left.finalize();
+        let merged = left.finalize().unwrap();
         assert_eq!(whole.counts, merged.counts);
         for g in 0..4 {
             assert_eq!(whole.sums[0][g].to_bits(), merged.sums[0][g].to_bits());
@@ -1186,7 +1222,7 @@ mod tests {
         grouped.update_sum(0, &ids, &values).unwrap();
         grouped.update_min(0, &ids, &values);
         grouped.update_max(0, &ids, &values);
-        let grouped = grouped.finalize();
+        let grouped = grouped.finalize().unwrap();
         let mut single = GroupedStates::new(backend, 1, 1, 1, 1);
         for chunk in values.chunks(997) {
             single.add_count_single(chunk.len() as u64);
@@ -1194,7 +1230,7 @@ mod tests {
             single.update_min_single(0, chunk);
             single.update_max_single(0, chunk);
         }
-        let single = single.finalize();
+        let single = single.finalize().unwrap();
         assert_eq!(grouped.counts, single.counts);
         assert_eq!(grouped.sums[0][0].to_bits(), single.sums[0][0].to_bits());
         assert_eq!(grouped.mins[0][0].to_bits(), single.mins[0][0].to_bits());
@@ -1215,6 +1251,7 @@ mod tests {
         let svalues: Vec<f64> = order.iter().map(|&i| values[i]).collect();
         for backend in [
             SumBackend::Double,
+            SumBackend::SortedDouble,
             SumBackend::ReproUnbuffered,
             SumBackend::ReproBuffered { buffer_size: 96 },
             SumBackend::Rsum { levels: 2 },
@@ -1228,7 +1265,7 @@ mod tests {
             per_row.update_sum(0, &sids, &svalues).unwrap();
             per_row.update_min(0, &sids, &svalues);
             per_row.update_max(0, &sids, &svalues);
-            let per_row = per_row.finalize();
+            let per_row = per_row.finalize().unwrap();
 
             let mut blocked = GroupedStates::new(backend, 4, 1, 1, 1);
             let mut i = 0;
@@ -1246,7 +1283,7 @@ mod tests {
                 blocked.update_max_run(0, g as usize, &svalues[i..j]);
                 i = j;
             }
-            let blocked = blocked.finalize();
+            let blocked = blocked.finalize().unwrap();
 
             assert_eq!(per_row.counts, blocked.counts, "{backend:?}");
             for g in 0..4 {
@@ -1303,8 +1340,8 @@ mod tests {
                 }
                 scaled.add_count_run(g as usize, k);
             }
-            let per_row = per_row.finalize();
-            let scaled = scaled.finalize();
+            let per_row = per_row.finalize().unwrap();
+            let scaled = scaled.finalize().unwrap();
             assert_eq!(per_row.counts, scaled.counts, "{backend:?}");
             for g in 0..4 {
                 assert_eq!(
@@ -1352,7 +1389,7 @@ mod tests {
         s.update_sum(1, &[2], &[1.5]).unwrap();
         s.update_min(0, &[0], &[4.0]);
         s.update_max(0, &[1], &[-4.0]);
-        let out = s.finalize();
+        let out = s.finalize().unwrap();
         assert_eq!(out.counts, vec![0, 0, 0]);
         assert_eq!(out.sums[1][2], 1.5);
         assert_eq!(out.mins[0][0], 4.0);
@@ -1374,7 +1411,7 @@ mod tests {
             SumBackend::Rsum { levels: 2 },
             SumBackend::ReproBuffered { buffer_size: 128 },
         ] {
-            let reference = sum_grouped(backend, &ids, &values, 1).unwrap();
+            let reference = sum_once(backend, &ids, &values, 1).unwrap();
             let mut state = GroupedSums::new(backend, 1);
             for chunk in values.chunks(1000) {
                 state.update_single(chunk).unwrap();

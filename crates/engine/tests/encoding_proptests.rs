@@ -2,7 +2,7 @@
 //! (values, encoding) pairs, encode → decode must round-trip **exactly**
 //! (same storage bits), and Q1/Q6/Q15-shaped plans over Dict/Dict16/Rle
 //! columns must be bit-identical to the same plans over plain columns —
-//! across every fused backend, thread count, and batch/morsel shape.
+//! across every backend, thread count, and batch/morsel shape.
 //!
 //! Why bit-identity holds: dictionary pushdown evaluates the predicate
 //! once per dictionary *entry* over the same f64/i32 bits a plain scan
@@ -13,64 +13,16 @@
 //! every backend whose merge is exact (`Double` keeps the per-row path
 //! and is covered here too).
 
+mod oracle;
+
+use oracle::{force_pool, shapes, BACKENDS};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rfa_engine::{
     lineitem_table, lineitem_table_encoded, q15_plan, q1_plan, q6_plan, AggColumn, Column,
-    ExecOptions, PlanResult, QueryPlan, SumBackend, Table,
+    PlanResult, QueryPlan, Table,
 };
 use rfa_workloads::Lineitem;
-
-/// Requests an 8-worker pool so multi-thread shapes genuinely split work.
-fn force_pool() {
-    let _ = rayon::ThreadPoolBuilder::new()
-        .num_threads(8)
-        .build_global();
-}
-
-/// Every backend the fused executor accepts (`SortedDouble` is routed to
-/// the materializing pipeline and never sees encoded scan paths).
-const FUSED_BACKENDS: [SumBackend; 5] = [
-    SumBackend::Double,
-    SumBackend::ReproUnbuffered,
-    SumBackend::ReproBuffered { buffer_size: 64 },
-    SumBackend::Rsum { levels: 2 },
-    SumBackend::RsumBuffered {
-        levels: 3,
-        buffer_size: 48,
-    },
-];
-
-/// Batch/morsel/thread shapes: serial tiny batches, serial default, and
-/// morsel-parallel splits at 2 and 8 threads.
-fn shapes() -> [ExecOptions; 4] {
-    [
-        ExecOptions {
-            threads: 1,
-            batch_rows: 32,
-            morsel_rows: 1 << 16,
-            ..ExecOptions::default()
-        },
-        ExecOptions {
-            threads: 1,
-            batch_rows: 4096,
-            morsel_rows: 1 << 16,
-            ..ExecOptions::default()
-        },
-        ExecOptions {
-            threads: 2,
-            batch_rows: 64,
-            morsel_rows: 192,
-            ..ExecOptions::default()
-        },
-        ExecOptions {
-            threads: 8,
-            batch_rows: 17,
-            morsel_rows: 96,
-            ..ExecOptions::default()
-        },
-    ]
-}
 
 /// Lineitem rows with deliberately small domains (quantities and dates
 /// from a few dozen values) so dictionary encoding always applies and
@@ -197,7 +149,7 @@ fn encoded_twin(plain: &Table, choices: &[u8]) -> Table {
 fn check_plans_over(plain: &Table, encoded: &Table, ctx: &str) {
     for (plan, which) in [(q1_plan(), "q1"), (q6_plan(), "q6"), (q15_plan(), "q15")] {
         let plan: QueryPlan = plan;
-        for backend in FUSED_BACKENDS {
+        for backend in BACKENDS {
             for opts in shapes() {
                 let want = plan.execute(plain, backend, &opts).unwrap();
                 let got = plan.execute(encoded, backend, &opts).unwrap();

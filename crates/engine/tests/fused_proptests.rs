@@ -1,171 +1,100 @@
 //! Property tests of the fused scan pipeline: for arbitrary lineitem
 //! contents, every backend, and every batch/morsel/thread shape, the
-//! fused pipeline must be **bit-identical** to the serial materializing
-//! reference pipeline — the acceptance contract of the zero-copy scan.
+//! TPC-H plans must be **bit-identical** to the row-at-a-time reference
+//! interpreter ([`oracle`]) — the acceptance contract of the zero-copy
+//! scan — and every SUM must lie within the paper's error bound of the
+//! exactly rounded sum.
 //!
-//! Why this holds per backend (and is therefore assertable for *all* of
-//! them, not just the reproducible ones):
+//! Why bit-identity holds per backend (and is therefore assertable for
+//! *all* of them, not just the reproducible ones):
 //!
 //! * repro backends — per-slot deposits commute and state merging is
 //!   exact, so any batch/morsel/thread schedule finalizes identically;
 //! * plain `Double` — the fused executor deliberately scans it serially
 //!   at any requested thread count (exact merging is impossible), and the
-//!   serial fused scan performs the identical addition sequence;
-//! * `SortedDouble` — routed to the materializing pipeline, whose
-//!   parallel variant sorts into the same total order as the serial one.
+//!   serial fused scan performs the oracle's addition sequence;
+//! * `SortedDouble` — each group's values are sorted by `total_cmp`
+//!   before summing, so its result depends only on the group's multiset.
 
-use proptest::collection::vec;
+mod oracle;
+
+use oracle::{assert_matches, evaluate, force_pool, lineitem_strategy, shapes, BACKENDS};
 use proptest::prelude::*;
+use rfa_core::analysis::{conventional_bound, reproducible_bound_anchored};
 use rfa_engine::{
-    run_q1_materializing, run_q1_with, run_q6_materializing, run_q6_with, ExecOptions, SumBackend,
+    lineitem_table, q15_plan, q1_plan, q6_plan, AggCall, ExecOptions, QueryPlan, SumBackend,
 };
 use rfa_workloads::Lineitem;
 
-/// Requests an 8-worker pool for this test binary so the parallel paths
-/// genuinely run multi-threaded even on small CI boxes (a pinned
-/// `RFA_THREADS` still takes precedence inside the builder).
-fn force_pool() {
-    let _ = rayon::ThreadPoolBuilder::new()
-        .num_threads(8)
-        .build_global();
-}
-
-/// All six SUM backends (Table IV's columns plus the §V-D RSUM forms).
-const BACKENDS: [SumBackend; 6] = [
-    SumBackend::Double,
-    SumBackend::ReproUnbuffered,
-    SumBackend::ReproBuffered { buffer_size: 64 },
-    SumBackend::SortedDouble,
-    SumBackend::Rsum { levels: 2 },
-    SumBackend::RsumBuffered {
-        levels: 3,
-        buffer_size: 48,
-    },
-];
-
-/// Arbitrary lineitem rows: quantities, prices, discounts and taxes over
-/// (and beyond) the dbgen ranges, shipdates straddling both the Q6 window
-/// and the Q1 cutoff, and all six flag/status combinations.
-fn lineitem_strategy(max_rows: usize) -> impl Strategy<Value = Lineitem> {
-    let row = (
-        (0.0..60.0f64),     // quantity (crosses the Q6 < 24 predicate)
-        (-1.0e5..1.0e5f64), // extendedprice (signs exercise cancellation)
-        (0.0..0.12f64),     // discount (crosses the 0.05..=0.07 window)
-        (0.0..0.09f64),     // tax
-        (600i32..2600),     // shipdate: Q6 window is [730, 1095), Q1 cutoff 2437
-        (0u8..3),           // returnflag index -> 'A' | 'N' | 'R'
-        (0u8..2),           // linestatus index -> 'F' | 'O'
-        (1i32..40),         // suppkey (small domain: every key repeats)
-    );
-    vec(row, 0..max_rows).prop_map(|rows| {
-        let n = rows.len();
-        let mut quantity = Vec::with_capacity(n);
-        let mut extendedprice = Vec::with_capacity(n);
-        let mut discount = Vec::with_capacity(n);
-        let mut tax = Vec::with_capacity(n);
-        let mut shipdate = Vec::with_capacity(n);
-        let mut returnflag = Vec::with_capacity(n);
-        let mut linestatus = Vec::with_capacity(n);
-        let mut suppkey = Vec::with_capacity(n);
-        for (q, p, d, t, s, rf, ls, sk) in rows {
-            quantity.push(q);
-            extendedprice.push(p);
-            discount.push(d);
-            tax.push(t);
-            shipdate.push(s);
-            returnflag.push([b'A', b'N', b'R'][rf as usize]);
-            linestatus.push([b'F', b'O'][ls as usize]);
-            suppkey.push(sk);
+/// Executes `plan` over `t` in every shape on every backend and checks
+/// each result against the oracle, bitwise.
+fn check_against_oracle(plan: &QueryPlan, t: &Lineitem) {
+    let table = lineitem_table(t);
+    for backend in BACKENDS {
+        let want = evaluate(plan, &table, backend).unwrap();
+        for opts in shapes() {
+            let got = plan.execute(&table, backend, &opts).unwrap();
+            assert_matches(&got, &want, &format!("{backend:?} {opts:?}"));
         }
-        Lineitem::from_columns(
-            quantity,
-            extendedprice,
-            discount,
-            tax,
-            shipdate,
-            returnflag,
-            linestatus,
-            suppkey,
-        )
-    })
+    }
 }
 
-/// Small batch/morsel shapes force many batches per morsel and many
-/// morsels per input even at proptest input sizes, so the 2- and 8-thread
-/// runs exercise real splits and merges.
-fn shapes() -> [ExecOptions; 4] {
-    [
-        ExecOptions {
-            threads: 1,
-            batch_rows: 32,
-            morsel_rows: 1 << 16,
-            ..ExecOptions::default()
-        },
-        ExecOptions {
-            threads: 1,
-            batch_rows: 4096,
-            morsel_rows: 1 << 16,
-            ..ExecOptions::default()
-        },
-        ExecOptions {
-            threads: 2,
-            batch_rows: 64,
-            morsel_rows: 192,
-            ..ExecOptions::default()
-        },
-        ExecOptions {
-            threads: 8,
-            batch_rows: 17,
-            morsel_rows: 96,
-            ..ExecOptions::default()
-        },
-    ]
+/// The a-priori error bound of `backend` on a group of `n` values: Eq. 5
+/// for the double backends, Eq. 6 for the reproducible ones (with the
+/// anchored ladder's factor 2, see `rfa_core::analysis`).
+fn error_bound(backend: SumBackend, n: usize, max_abs: f64, sum_abs: f64) -> f64 {
+    let levels = match backend {
+        SumBackend::Double | SumBackend::SortedDouble => {
+            return conventional_bound::<f64>(n, sum_abs);
+        }
+        SumBackend::ReproUnbuffered | SumBackend::ReproBuffered { .. } => 4,
+        SumBackend::Rsum { levels } | SumBackend::RsumBuffered { levels, .. } => levels,
+    };
+    reproducible_bound_anchored::<f64>(n, levels as usize, max_abs)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn q1_fused_is_bit_identical_to_materializing(t in lineitem_strategy(700)) {
+    fn q1_fused_matches_oracle(t in lineitem_strategy(700)) {
         force_pool();
-        for backend in BACKENDS {
-            let (reference, _) = run_q1_materializing(&t, backend).unwrap();
-            for opts in shapes() {
-                let (fused, _) = run_q1_with(&t, backend, &opts).unwrap();
-                prop_assert_eq!(reference.len(), fused.len(), "{:?} {:?}", backend, opts);
-                for (a, b) in reference.iter().zip(fused.iter()) {
-                    prop_assert_eq!(a.returnflag, b.returnflag);
-                    prop_assert_eq!(a.linestatus, b.linestatus);
-                    prop_assert_eq!(a.count, b.count, "{:?} {:?}", backend, opts);
-                    prop_assert_eq!(a.sum_qty.to_bits(), b.sum_qty.to_bits(),
-                        "sum_qty {:?} {:?}", backend, opts);
-                    prop_assert_eq!(a.sum_base_price.to_bits(), b.sum_base_price.to_bits(),
-                        "sum_base_price {:?} {:?}", backend, opts);
-                    prop_assert_eq!(a.sum_disc_price.to_bits(), b.sum_disc_price.to_bits(),
-                        "sum_disc_price {:?} {:?}", backend, opts);
-                    prop_assert_eq!(a.sum_charge.to_bits(), b.sum_charge.to_bits(),
-                        "sum_charge {:?} {:?}", backend, opts);
-                    prop_assert_eq!(a.avg_disc.to_bits(), b.avg_disc.to_bits(),
-                        "avg_disc {:?} {:?}", backend, opts);
-                }
-            }
-        }
+        check_against_oracle(&q1_plan(), &t);
     }
 
     #[test]
-    fn q6_fused_is_bit_identical_to_materializing(t in lineitem_strategy(900)) {
+    fn q6_fused_matches_oracle(t in lineitem_strategy(900)) {
         force_pool();
-        for backend in BACKENDS {
-            let (reference, _) = run_q6_materializing(&t, backend).unwrap();
-            for opts in shapes() {
-                let (fused, _) = run_q6_with(&t, backend, &opts).unwrap();
-                prop_assert_eq!(
-                    reference.to_bits(),
-                    fused.to_bits(),
-                    "{:?} {:?}",
-                    backend,
-                    opts
-                );
+        check_against_oracle(&q6_plan(), &t);
+    }
+
+    /// Every SUM of Q1, Q6 and Q15 lies within its backend's error bound
+    /// of the exactly rounded sum (plus the half-ulp that separates the
+    /// exactly rounded sum from the exact one, and the result's own final
+    /// rounding).
+    #[test]
+    fn sums_lie_within_the_paper_error_bounds(t in lineitem_strategy(700)) {
+        force_pool();
+        let table = lineitem_table(&t);
+        for plan in [q1_plan(), q6_plan(), q15_plan()] {
+            for backend in BACKENDS {
+                let want = evaluate(&plan, &table, backend).unwrap();
+                let got = plan.execute(&table, backend, &ExecOptions::parallel()).unwrap();
+                for (a, call) in plan.aggs.iter().enumerate() {
+                    let (AggCall::Sum(_), Some(exact)) = (call, &want.exact[a]) else {
+                        continue;
+                    };
+                    for (e, &sum) in exact.iter().zip(got.columns[a].f64s()) {
+                        let bound = error_bound(backend, e.n, e.max_abs, e.sum_abs)
+                            + 2.0 * f64::EPSILON * e.sum().abs();
+                        let err = (sum - e.sum()).abs();
+                        prop_assert!(
+                            err <= bound,
+                            "{:?} agg {}: |{:e} - {:e}| = {:e} > {:e}",
+                            backend, a, sum, e.sum(), err, bound
+                        );
+                    }
+                }
             }
         }
     }
@@ -205,15 +134,13 @@ proptest! {
         for backend in [
             SumBackend::ReproUnbuffered,
             SumBackend::RsumBuffered { levels: 2, buffer_size: 32 },
+            SumBackend::SortedDouble,
         ] {
-            let (a, _) = run_q1_with(&t, backend, &opts).unwrap();
-            let (b, _) = run_q1_with(&shuffled, backend, &opts).unwrap();
-            prop_assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                prop_assert_eq!(x.count, y.count);
-                prop_assert_eq!(x.sum_charge.to_bits(), y.sum_charge.to_bits(), "{:?}", backend);
-                prop_assert_eq!(x.sum_qty.to_bits(), y.sum_qty.to_bits(), "{:?}", backend);
-            }
+            let a = q1_plan().execute(&lineitem_table(&t), backend, &opts).unwrap();
+            let b = q1_plan().execute(&lineitem_table(&shuffled), backend, &opts).unwrap();
+            let want = evaluate(&q1_plan(), &lineitem_table(&t), backend).unwrap();
+            assert_matches(&a, &want, &format!("{backend:?}"));
+            assert_matches(&b, &want, &format!("{backend:?} shuffled"));
         }
     }
 }

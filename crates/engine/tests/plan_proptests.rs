@@ -1,168 +1,50 @@
 //! Property tests of the plan layer: plans built through the *public*
-//! [`QueryPlan`] builder must be bit-identical to the legacy pipelines,
-//! and hash-keyed grouping must be bit-identical to dense-keyed grouping
-//! on key domains small enough to run both.
+//! [`QueryPlan`] builder must be bit-identical to the row-at-a-time
+//! reference interpreter ([`oracle`]), and hash-keyed grouping must be
+//! bit-identical to dense-keyed grouping on key domains small enough to
+//! run both — for all six backends.
 //!
-//! These complement `fused_proptests.rs` (which pins the thin
-//! `run_q1`/`run_q6` wrappers — themselves plan-backed — to the
-//! materializing reference for all six backends): here the plans are
-//! constructed via the builder API, so the lowering itself (SUM-state
-//! sharing for AVG, COUNT wiring, group-key routing) is under test, not
-//! just the wrappers.
+//! The plans are constructed via the builder API, so the lowering itself
+//! (SUM-state sharing for AVG, COUNT wiring, group-key routing) is under
+//! test: the oracle interprets each aggregate call on its own.
 
+mod oracle;
+
+use oracle::{assert_matches, evaluate, force_pool, lineitem_strategy, shapes, BACKENDS};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rfa_engine::plan::QueryPlan;
-use rfa_engine::{
-    lineitem_table, q1_plan, q6_plan, run_q1_materializing, run_q6_materializing, AggColumn,
-    Column, ExecOptions, Expr, SumBackend, Table,
-};
-use rfa_workloads::Lineitem;
-
-/// Requests an 8-worker pool so the parallel paths genuinely run
-/// multi-threaded even on small CI boxes.
-fn force_pool() {
-    let _ = rayon::ThreadPoolBuilder::new()
-        .num_threads(8)
-        .build_global();
-}
-
-/// The five backends the fused plan executor serves (SortedDouble routes
-/// to the materializing pipeline and is covered by `fused_proptests.rs`).
-const FUSED_BACKENDS: [SumBackend; 5] = [
-    SumBackend::Double,
-    SumBackend::ReproUnbuffered,
-    SumBackend::ReproBuffered { buffer_size: 64 },
-    SumBackend::Rsum { levels: 2 },
-    SumBackend::RsumBuffered {
-        levels: 3,
-        buffer_size: 48,
-    },
-];
-
-fn shapes() -> [ExecOptions; 3] {
-    [
-        ExecOptions {
-            threads: 1,
-            batch_rows: 33,
-            morsel_rows: 1 << 16,
-            ..ExecOptions::default()
-        },
-        ExecOptions {
-            threads: 2,
-            batch_rows: 64,
-            morsel_rows: 192,
-            ..ExecOptions::default()
-        },
-        ExecOptions {
-            threads: 8,
-            batch_rows: 17,
-            morsel_rows: 96,
-            ..ExecOptions::default()
-        },
-    ]
-}
-
-fn lineitem_strategy(max_rows: usize) -> impl Strategy<Value = Lineitem> {
-    let row = (
-        (0.0..60.0f64),
-        (-1.0e5..1.0e5f64),
-        (0.0..0.12f64),
-        (0.0..0.09f64),
-        (600i32..2600),
-        (0u8..3),
-        (0u8..2),
-        (1i32..40),
-    );
-    vec(row, 0..max_rows).prop_map(|rows| {
-        let n = rows.len();
-        let mut quantity = Vec::with_capacity(n);
-        let mut extendedprice = Vec::with_capacity(n);
-        let mut discount = Vec::with_capacity(n);
-        let mut tax = Vec::with_capacity(n);
-        let mut shipdate = Vec::with_capacity(n);
-        let mut returnflag = Vec::with_capacity(n);
-        let mut linestatus = Vec::with_capacity(n);
-        let mut suppkey = Vec::with_capacity(n);
-        for (q, p, d, t, s, rf, ls, sk) in rows {
-            quantity.push(q);
-            extendedprice.push(p);
-            discount.push(d);
-            tax.push(t);
-            shipdate.push(s);
-            returnflag.push([b'A', b'N', b'R'][rf as usize]);
-            linestatus.push([b'F', b'O'][ls as usize]);
-            suppkey.push(sk);
-        }
-        Lineitem::from_columns(
-            quantity,
-            extendedprice,
-            discount,
-            tax,
-            shipdate,
-            returnflag,
-            linestatus,
-            suppkey,
-        )
-    })
-}
+use rfa_engine::{lineitem_table, q1_plan, q6_plan, AggColumn, Column, Expr, Table};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Builder-constructed Q1 plan == legacy materializing Q1, bitwise,
-    /// for every fused backend × thread count × batch/morsel shape —
-    /// including the engine-finalized AVG and COUNT columns.
+    /// Builder-constructed Q1 plan == oracle, bitwise, for every backend
+    /// × thread count × batch/morsel shape — including the
+    /// engine-finalized AVG and COUNT columns.
     #[test]
-    fn q1_plan_matches_legacy_bitwise(t in lineitem_strategy(600)) {
+    fn q1_plan_matches_oracle_bitwise(t in lineitem_strategy(600)) {
         force_pool();
         let table = lineitem_table(&t);
-        for backend in FUSED_BACKENDS {
-            let (legacy, _) = run_q1_materializing(&t, backend).unwrap();
+        for backend in BACKENDS {
+            let want = evaluate(&q1_plan(), &table, backend).unwrap();
             for opts in shapes() {
-                let r = q1_plan().execute(&table, backend, &opts).unwrap();
-                prop_assert_eq!(r.keys.len(), legacy.len(), "{:?} {:?}", backend, opts);
-                for (i, row) in legacy.iter().enumerate() {
-                    let (rf, ls) = rfa_workloads::Lineitem::decode_group(r.keys[i] as u32);
-                    prop_assert_eq!(rf, row.returnflag);
-                    prop_assert_eq!(ls, row.linestatus);
-                    let f = |c: usize| r.columns[c].f64s()[i];
-                    prop_assert_eq!(f(0).to_bits(), row.sum_qty.to_bits(),
-                        "sum_qty {:?} {:?}", backend, opts);
-                    prop_assert_eq!(f(1).to_bits(), row.sum_base_price.to_bits(),
-                        "sum_base_price {:?} {:?}", backend, opts);
-                    prop_assert_eq!(f(2).to_bits(), row.sum_disc_price.to_bits(),
-                        "sum_disc_price {:?} {:?}", backend, opts);
-                    prop_assert_eq!(f(3).to_bits(), row.sum_charge.to_bits(),
-                        "sum_charge {:?} {:?}", backend, opts);
-                    prop_assert_eq!(f(4).to_bits(), row.avg_qty.to_bits(),
-                        "avg_qty {:?} {:?}", backend, opts);
-                    prop_assert_eq!(f(5).to_bits(), row.avg_price.to_bits(),
-                        "avg_price {:?} {:?}", backend, opts);
-                    prop_assert_eq!(f(6).to_bits(), row.avg_disc.to_bits(),
-                        "avg_disc {:?} {:?}", backend, opts);
-                    prop_assert_eq!(r.columns[7].u64s()[i], row.count);
-                }
+                let got = q1_plan().execute(&table, backend, &opts).unwrap();
+                assert_matches(&got, &want, &format!("{backend:?} {opts:?}"));
             }
         }
     }
 
-    /// Builder-constructed Q6 plan == legacy materializing Q6, bitwise.
+    /// Builder-constructed Q6 plan == oracle, bitwise.
     #[test]
-    fn q6_plan_matches_legacy_bitwise(t in lineitem_strategy(800)) {
+    fn q6_plan_matches_oracle_bitwise(t in lineitem_strategy(800)) {
         force_pool();
         let table = lineitem_table(&t);
-        for backend in FUSED_BACKENDS {
-            let (legacy, _) = run_q6_materializing(&t, backend).unwrap();
+        for backend in BACKENDS {
+            let want = evaluate(&q6_plan(), &table, backend).unwrap();
             for opts in shapes() {
-                let r = q6_plan().execute(&table, backend, &opts).unwrap();
-                prop_assert_eq!(
-                    r.columns[0].f64s()[0].to_bits(),
-                    legacy.to_bits(),
-                    "{:?} {:?}",
-                    backend,
-                    opts
-                );
+                let got = q6_plan().execute(&table, backend, &opts).unwrap();
+                assert_matches(&got, &want, &format!("{backend:?} {opts:?}"));
             }
         }
     }
@@ -209,7 +91,7 @@ proptest! {
         };
         let dense = aggs(QueryPlan::scan("t").group_by_dense("ka", "kb", encode, 12));
         let hashed = aggs(QueryPlan::scan("t").group_by_key("key"));
-        for backend in FUSED_BACKENDS {
+        for backend in BACKENDS {
             for opts in shapes() {
                 let d = dense.execute(&table, backend, &opts).unwrap();
                 let h = hashed.execute(&table, backend, &opts).unwrap();

@@ -1,7 +1,7 @@
 //! Forced-dispatch bit-identity tests at the *query* level: the whole
 //! scan pipeline — AVX2 selection-vector build, mask compaction and the
 //! AVX2 repro summation kernel — must produce results bit-identical to
-//! the scalar paths, for every query, fused backend and thread shape.
+//! the scalar paths, for every query, backend and thread shape.
 //!
 //! `RFA_SIMD` flips the dispatch level process-wide; these tests flip it
 //! programmatically via [`rfa_core::cpu::set_override`] (serialized by a
@@ -10,13 +10,16 @@
 //! On hardware without AVX2 / AVX-512F the corresponding forced leg is
 //! skipped and the tests reduce to scalar self-consistency.
 
+mod oracle;
+
+use oracle::{force_pool, lineitem_strategy, shapes, BACKENDS};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rfa_agg::HashKind;
 use rfa_core::cpu::{self, SimdLevel};
 use rfa_engine::{
-    run_q15_with, run_q1_with, run_q6_with, AggColumn, BoolExpr, Column, EvalScratch, ExecOptions,
-    Expr, QueryPlan, SumBackend, Table,
+    lineitem_table, q15_plan, q1_plan, q6_plan, AggColumn, BoolExpr, Column, EvalScratch,
+    ExecOptions, Expr, PlanResult, QueryPlan, SumBackend, Table,
 };
 use rfa_workloads::Lineitem;
 use std::sync::{Mutex, MutexGuard};
@@ -52,114 +55,28 @@ fn both_levels<R: PartialEq + std::fmt::Debug>(mut f: impl FnMut() -> R) -> R {
     scalar
 }
 
-fn force_pool() {
-    let _ = rayon::ThreadPoolBuilder::new()
-        .num_threads(8)
-        .build_global();
+/// A plan result as comparable bit patterns: keys, then every aggregate
+/// column.
+fn result_bits(r: PlanResult) -> (Vec<i64>, Vec<Vec<u64>>) {
+    let cols = r
+        .columns
+        .iter()
+        .map(|c| match c {
+            AggColumn::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+            AggColumn::U64(v) => v.clone(),
+        })
+        .collect();
+    (r.keys, cols)
 }
 
-const BACKENDS: [SumBackend; 4] = [
-    SumBackend::Double,
-    SumBackend::ReproUnbuffered,
-    SumBackend::ReproBuffered { buffer_size: 64 },
-    SumBackend::RsumBuffered {
-        levels: 3,
-        buffer_size: 48,
-    },
-];
-
-fn shapes() -> [ExecOptions; 3] {
-    [
-        ExecOptions {
-            threads: 1,
-            batch_rows: 33,
-            morsel_rows: 1 << 16,
-            ..ExecOptions::default()
-        },
-        ExecOptions {
-            threads: 2,
-            batch_rows: 64,
-            morsel_rows: 192,
-            ..ExecOptions::default()
-        },
-        ExecOptions {
-            threads: 8,
-            batch_rows: 17,
-            morsel_rows: 96,
-            ..ExecOptions::default()
-        },
-    ]
-}
-
-/// Arbitrary lineitem rows straddling the Q1/Q6/Q15 predicate windows
-/// (same shape as the fused proptests).
-fn lineitem_strategy(max_rows: usize) -> impl Strategy<Value = Lineitem> {
-    let row = (
-        (0.0..60.0f64),
-        (-1.0e5..1.0e5f64),
-        (0.0..0.12f64),
-        (0.0..0.09f64),
-        (600i32..2600),
-        (0u8..3),
-        (0u8..2),
-        (1i32..40),
-    );
-    vec(row, 0..max_rows).prop_map(|rows| {
-        let n = rows.len();
-        let mut quantity = Vec::with_capacity(n);
-        let mut extendedprice = Vec::with_capacity(n);
-        let mut discount = Vec::with_capacity(n);
-        let mut tax = Vec::with_capacity(n);
-        let mut shipdate = Vec::with_capacity(n);
-        let mut returnflag = Vec::with_capacity(n);
-        let mut linestatus = Vec::with_capacity(n);
-        let mut suppkey = Vec::with_capacity(n);
-        for (q, p, d, t, s, rf, ls, sk) in rows {
-            quantity.push(q);
-            extendedprice.push(p);
-            discount.push(d);
-            tax.push(t);
-            shipdate.push(s);
-            returnflag.push([b'A', b'N', b'R'][rf as usize]);
-            linestatus.push([b'F', b'O'][ls as usize]);
-            suppkey.push(sk);
-        }
-        Lineitem::from_columns(
-            quantity,
-            extendedprice,
-            discount,
-            tax,
-            shipdate,
-            returnflag,
-            linestatus,
-            suppkey,
-        )
-    })
-}
-
-/// Q1 rows as comparable bit patterns.
-fn q1_bits(
+/// A TPC-H plan's result over `t` as comparable bit patterns.
+fn tpch_bits(
+    plan: &QueryPlan,
     t: &Lineitem,
     backend: SumBackend,
     opts: &ExecOptions,
-) -> Vec<(char, char, u64, [u64; 5])> {
-    let (rows, _) = run_q1_with(t, backend, opts).unwrap();
-    rows.iter()
-        .map(|r| {
-            (
-                r.returnflag,
-                r.linestatus,
-                r.count,
-                [
-                    r.sum_qty.to_bits(),
-                    r.sum_base_price.to_bits(),
-                    r.sum_disc_price.to_bits(),
-                    r.sum_charge.to_bits(),
-                    r.avg_disc.to_bits(),
-                ],
-            )
-        })
-        .collect()
+) -> (Vec<i64>, Vec<Vec<u64>>) {
+    result_bits(plan.execute(&lineitem_table(t), backend, opts).unwrap())
 }
 
 /// A hash-grouped plan's full result (keys, then every aggregate column
@@ -177,15 +94,7 @@ fn hash_group_bits(
         .count()
         .execute(t, backend, opts)
         .unwrap();
-    let cols = r
-        .columns
-        .iter()
-        .map(|c| match c {
-            AggColumn::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
-            AggColumn::U64(v) => v.clone(),
-        })
-        .collect();
-    (r.keys, cols)
+    result_bits(r)
 }
 
 proptest! {
@@ -235,7 +144,7 @@ proptest! {
         force_pool();
         for backend in BACKENDS {
             for opts in shapes() {
-                both_levels(|| q1_bits(&t, backend, &opts));
+                both_levels(|| tpch_bits(&q1_plan(), &t, backend, &opts));
             }
         }
     }
@@ -247,13 +156,8 @@ proptest! {
         force_pool();
         for backend in BACKENDS {
             for opts in shapes() {
-                both_levels(|| run_q6_with(&t, backend, &opts).unwrap().0.to_bits());
-                both_levels(|| {
-                    let (rows, _) = run_q15_with(&t, backend, &opts).unwrap();
-                    rows.iter()
-                        .map(|r| (r.suppkey, r.total_revenue.to_bits(), r.count))
-                        .collect::<Vec<_>>()
-                });
+                both_levels(|| tpch_bits(&q6_plan(), &t, backend, &opts));
+                both_levels(|| tpch_bits(&q15_plan(), &t, backend, &opts));
             }
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! 1. The pinned TPC-H SQL texts (`q1_sql`/`q6_sql`/`q15_sql`) parse,
 //!    resolve and lower to queries whose results are **bit-identical** to
-//!    the builder plans (`q1_plan`/`q6_plan`/`q15_plan`) for every fused
+//!    the builder plans (`q1_plan`/`q6_plan`/`q15_plan`) for every
 //!    backend × thread count × batch/morsel shape. Q1 additionally
 //!    crosses grouping arms: the SQL text groups through the packed
 //!    hash-pair arm while the builder uses the dense dictionary encoding,
@@ -10,7 +10,9 @@
 //! 2. Printer→parser round-trip: a random well-formed AST pretty-printed
 //!    and re-parsed is the identical AST (bitwise on literals).
 
-use proptest::collection::vec;
+mod oracle;
+
+use oracle::{force_pool, lineitem_strategy, shapes, BACKENDS};
 use proptest::prelude::*;
 use rfa_engine::sql::{parse_select, SelectItem, SelectStmt, SqlAgg, SqlBinOp, SqlExpr};
 use rfa_engine::{
@@ -18,94 +20,6 @@ use rfa_engine::{
     PlanError, SqlColumn, SqlError, SumBackend,
 };
 use rfa_workloads::Lineitem;
-
-/// Requests an 8-worker pool so the parallel paths genuinely run
-/// multi-threaded even on small CI boxes.
-fn force_pool() {
-    let _ = rayon::ThreadPoolBuilder::new()
-        .num_threads(8)
-        .build_global();
-}
-
-/// The five backends the fused plan executor serves (SortedDouble is a
-/// typed error through both the SQL and builder paths — asserted below).
-const FUSED_BACKENDS: [SumBackend; 5] = [
-    SumBackend::Double,
-    SumBackend::ReproUnbuffered,
-    SumBackend::ReproBuffered { buffer_size: 64 },
-    SumBackend::Rsum { levels: 2 },
-    SumBackend::RsumBuffered {
-        levels: 3,
-        buffer_size: 48,
-    },
-];
-
-fn shapes() -> [ExecOptions; 3] {
-    [
-        ExecOptions {
-            threads: 1,
-            batch_rows: 33,
-            morsel_rows: 1 << 16,
-            ..ExecOptions::default()
-        },
-        ExecOptions {
-            threads: 2,
-            batch_rows: 64,
-            morsel_rows: 192,
-            ..ExecOptions::default()
-        },
-        ExecOptions {
-            threads: 8,
-            batch_rows: 17,
-            morsel_rows: 96,
-            ..ExecOptions::default()
-        },
-    ]
-}
-
-fn lineitem_strategy(max_rows: usize) -> impl Strategy<Value = Lineitem> {
-    let row = (
-        (0.0..60.0f64),
-        (-1.0e5..1.0e5f64),
-        (0.0..0.12f64),
-        (0.0..0.09f64),
-        (600i32..2600),
-        (0u8..3),
-        (0u8..2),
-        (1i32..40),
-    );
-    vec(row, 0..max_rows).prop_map(|rows| {
-        let n = rows.len();
-        let mut quantity = Vec::with_capacity(n);
-        let mut extendedprice = Vec::with_capacity(n);
-        let mut discount = Vec::with_capacity(n);
-        let mut tax = Vec::with_capacity(n);
-        let mut shipdate = Vec::with_capacity(n);
-        let mut returnflag = Vec::with_capacity(n);
-        let mut linestatus = Vec::with_capacity(n);
-        let mut suppkey = Vec::with_capacity(n);
-        for (q, p, d, t, s, rf, ls, sk) in rows {
-            quantity.push(q);
-            extendedprice.push(p);
-            discount.push(d);
-            tax.push(t);
-            shipdate.push(s);
-            returnflag.push([b'A', b'N', b'R'][rf as usize]);
-            linestatus.push([b'F', b'O'][ls as usize]);
-            suppkey.push(sk);
-        }
-        Lineitem::from_columns(
-            quantity,
-            extendedprice,
-            discount,
-            tax,
-            shipdate,
-            returnflag,
-            linestatus,
-            suppkey,
-        )
-    })
-}
 
 fn f64s(c: &SqlColumn) -> &[f64] {
     match c {
@@ -132,7 +46,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// SQL Q1 (hash-pair grouping) == builder Q1 (dense dictionary
-    /// grouping), bitwise, for every fused backend × thread count ×
+    /// grouping), bitwise, for every backend × thread count ×
     /// batch/morsel shape — all eight aggregate columns.
     #[test]
     fn q1_sql_matches_builder_plan_bitwise(t in lineitem_strategy(600)) {
@@ -140,7 +54,7 @@ proptest! {
         let table = lineitem_table(&t);
         let sql = sql_query(&q1_sql(), &table).unwrap();
         let builder = q1_plan();
-        for backend in FUSED_BACKENDS {
+        for backend in BACKENDS {
             for opts in shapes() {
                 let s = sql.execute(&table, backend, &opts).unwrap();
                 let b = builder.execute(&table, backend, &opts).unwrap();
@@ -172,7 +86,7 @@ proptest! {
         let table = lineitem_table(&t);
         let sql = sql_query(&q6_sql(), &table).unwrap();
         let builder = q6_plan();
-        for backend in FUSED_BACKENDS {
+        for backend in BACKENDS {
             for opts in shapes() {
                 let s = sql.execute(&table, backend, &opts).unwrap();
                 let b = builder.execute(&table, backend, &opts).unwrap();
@@ -193,7 +107,7 @@ proptest! {
         let table = lineitem_table(&t);
         let sql = sql_query(&q15_sql(), &table).unwrap();
         let builder = q15_plan();
-        for backend in FUSED_BACKENDS {
+        for backend in BACKENDS {
             for opts in shapes() {
                 let s = sql.execute(&table, backend, &opts).unwrap();
                 let b = builder.execute(&table, backend, &opts).unwrap();
@@ -224,22 +138,29 @@ proptest! {
     }
 }
 
-/// SortedDouble yields the identical typed error through the SQL and
-/// builder paths — no panic reaches either API.
+/// An out-of-range backend yields the identical typed error through the
+/// SQL and builder paths — no panic reaches either API.
 #[test]
-fn sorted_double_is_the_same_typed_error_on_both_paths() {
+fn invalid_backend_is_the_same_typed_error_on_both_paths() {
     let t = Lineitem::generate(1_000, 3);
     let table = lineitem_table(&t);
     let sql = sql_query(&q6_sql(), &table).unwrap();
-    let want = PlanError::Unsupported("SortedDouble requires the materializing pipeline");
+    let backend = SumBackend::RsumBuffered {
+        levels: 2,
+        buffer_size: 0,
+    };
+    let want = PlanError::InvalidBackend {
+        backend,
+        reason: "summation buffer size must be in 1..=65536",
+    };
     assert_eq!(
-        sql.execute(&table, SumBackend::SortedDouble, &ExecOptions::serial())
+        sql.execute(&table, backend, &ExecOptions::serial())
             .unwrap_err(),
         SqlError::Plan(want.clone())
     );
     assert_eq!(
         q6_plan()
-            .execute(&table, SumBackend::SortedDouble, &ExecOptions::serial())
+            .execute(&table, backend, &ExecOptions::serial())
             .unwrap_err(),
         want
     );

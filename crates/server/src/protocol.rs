@@ -36,8 +36,8 @@ pub enum ErrorCode {
     /// (parse, resolution and type errors; also malformed payloads on an
     /// otherwise intact connection).
     BadRequest = 1,
-    /// Well-formed but not executable as configured (e.g. the
-    /// `SortedDouble` backend, which the fused executor rejects).
+    /// Well-formed but not executable as configured (e.g. a result set
+    /// larger than the frame cap).
     Unsupported = 2,
     /// The admission queue was full; the query was never started. Safe
     /// to retry — for reproducible backends a retry returns the same
@@ -241,6 +241,9 @@ fn put_backend(buf: &mut Vec<u8>, b: SumBackend) {
     put_u32(buf, buffer);
 }
 
+/// Decodes a backend tag and its parameters as sent. Their ranges are
+/// checked by `QueryPlan::execute`, before any state is sized, and an
+/// out-of-range value comes back as `ErrorCode::BadRequest`.
 fn take_backend(c: &mut Cursor<'_>) -> Result<SumBackend, WireError> {
     let tag = c.take_u8()?;
     let levels = c.take_u8()?;

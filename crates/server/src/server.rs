@@ -478,6 +478,8 @@ fn classify(err: &SqlError) -> ErrorCode {
         SqlError::Plan(PlanError::Unsupported(_)) | SqlError::Unsupported(_) => {
             ErrorCode::Unsupported
         }
+        // Parse, resolution and type errors, and backend parameters out
+        // of range (`PlanError::InvalidBackend`): the request is at fault.
         _ => ErrorCode::BadRequest,
     }
 }
@@ -526,8 +528,17 @@ mod tests {
             ErrorCode::DeadlineExceeded
         );
         assert_eq!(
-            classify(&SqlError::Plan(PlanError::Unsupported("sorted baseline"))),
+            classify(&SqlError::Plan(PlanError::Unsupported(
+                "plan has no aggregates"
+            ))),
             ErrorCode::Unsupported
+        );
+        assert_eq!(
+            classify(&SqlError::Plan(PlanError::InvalidBackend {
+                backend: rfa_engine::SumBackend::Rsum { levels: 0 },
+                reason: "RSUM levels must be in 1..=4",
+            })),
+            ErrorCode::BadRequest
         );
         assert_eq!(
             classify(&SqlError::Unsupported("no HAVING".into())),

@@ -1,7 +1,7 @@
 //! End-to-end service behaviour on a healthy network: bit-identity with
-//! the in-process engine, typed errors for every failure class
-//! (bad SQL, unsupported backends, deadlines, cancellation, overload,
-//! broken framing), and survival of all of them.
+//! the in-process engine on every backend, typed errors for every
+//! failure class (bad SQL, invalid backend parameters, deadlines,
+//! cancellation, overload, broken framing), and survival of all of them.
 //!
 //! These tests pin fault injection to `FaultSpec::NONE` so the CI chaos
 //! leg (`RFA_FAULTS=...`) cannot destabilize them — chaos behaviour has
@@ -139,14 +139,43 @@ fn bad_sql_is_a_typed_bad_request_and_the_server_survives() {
 }
 
 #[test]
-fn sorted_double_backend_is_typed_unsupported() {
+fn sorted_double_backend_is_served_bit_identically() {
+    no_faults();
+    let table = table();
+    let server = Server::spawn(Arc::clone(&table), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let reference = rfa_engine::sql_query(&q1_sql(), &table)
+        .unwrap()
+        .execute(&table, SumBackend::SortedDouble, &ExecOptions::serial())
+        .unwrap();
+    for threads in [1, 2] {
+        let got = client
+            .query(&q1_sql(), SumBackend::SortedDouble, threads, None)
+            .unwrap();
+        assert_bits_eq(&got.columns, &reference.columns);
+    }
+}
+
+#[test]
+fn invalid_backend_parameters_are_typed_bad_requests() {
     no_faults();
     let server = Server::spawn(table(), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    let err = client
-        .query(&q1_sql(), SumBackend::SortedDouble, 1, None)
-        .unwrap_err();
-    assert_eq!(err.code(), Some(ErrorCode::Unsupported));
+    for backend in [
+        SumBackend::Rsum { levels: 0 },
+        SumBackend::RsumBuffered {
+            levels: 9,
+            buffer_size: 64,
+        },
+        SumBackend::ReproBuffered { buffer_size: 0 },
+        SumBackend::ReproBuffered {
+            buffer_size: u32::MAX as usize,
+        },
+    ] {
+        let err = client.query(&q6_sql(), backend, 2, None).unwrap_err();
+        assert_eq!(err.code(), Some(ErrorCode::BadRequest), "{backend:?}");
+    }
+    assert_eq!(server.stats().panics_isolated, 0);
     client.ping().unwrap();
 }
 

@@ -151,16 +151,9 @@ impl Lineitem {
         self.quantity.is_empty()
     }
 
-    /// Q1 group id for a row: the (returnflag, linestatus) pair encoded
-    /// densely (dictionary encoding, as a column store would).
-    #[inline]
-    pub fn q1_group(&self, row: usize) -> u32 {
-        Self::encode_group(self.returnflag[row], self.linestatus[row])
-    }
-
-    /// The dense dictionary encoding behind [`Self::q1_group`], exposed
-    /// so engines grouping on the raw byte columns use the identical
-    /// mapping (inverse of [`Self::decode_group`]).
+    /// The Q1 group id of a (returnflag, linestatus) pair, encoded
+    /// densely (dictionary encoding, as a column store would; inverse of
+    /// [`Self::decode_group`]).
     #[inline]
     pub fn encode_group(returnflag: u8, linestatus: u8) -> u32 {
         let rf = match returnflag {
@@ -300,7 +293,7 @@ mod tests {
         // All four realistic groups occur (A/F, N/F, N/O, R/F).
         let mut seen = [false; 6];
         for i in 0..t.len() {
-            seen[t.q1_group(i) as usize] = true;
+            seen[Lineitem::encode_group(t.returnflag[i], t.linestatus[i]) as usize] = true;
         }
         assert!(seen[0] && seen[2] && seen[3] && seen[4], "{seen:?}");
     }

@@ -1,7 +1,8 @@
 //! The query service end to end: spawn a server on a TPC-H lineitem
 //! table, run Q1 over the wire at several thread counts, probe the
-//! hardening behaviours (deadline, cancellation, overload-safe retry),
-//! and show that every completed answer carries identical bits.
+//! hardening behaviours (deadline, cancellation, invalid backend
+//! parameters), and show that every completed answer carries identical
+//! bits — on the sorted baseline too.
 //!
 //! ```text
 //! cargo run --release --example server_demo
@@ -67,12 +68,26 @@ fn main() {
         Err(e) => panic!("unexpected error: {e}"),
     }
 
-    // The unsupported baseline backend answers a typed error, and the
+    // The sorted baseline is served like every other backend, with the
+    // same bits at any thread count.
+    let sorted: Vec<_> = [1u32, 2]
+        .map(|threads| {
+            client
+                .query(&q1_sql(), SumBackend::SortedDouble, threads, None)
+                .expect("sorted baseline")
+                .columns
+        })
+        .into();
+    assert_eq!(sorted[0], sorted[1], "sorted baseline bits diverged");
+    println!("sorted baseline  -> bit-identical at 1 and 2 threads");
+
+    // Backend parameters out of range answer a typed error, and the
     // session keeps serving afterwards.
     let err = client
-        .query(&q1_sql(), SumBackend::SortedDouble, 1, None)
-        .expect_err("sorted baseline is not servable");
-    println!("sorted baseline  -> {err}");
+        .query(&q6_sql(), SumBackend::Rsum { levels: 0 }, 1, None)
+        .expect_err("RSUM needs 1..=4 levels");
+    assert_eq!(err.code(), Some(ErrorCode::BadRequest));
+    println!("rsum levels 0    -> {err}");
     client.ping().expect("still alive");
 
     let stats = server.stats();

@@ -2,9 +2,17 @@
 //! operators, engine, core accumulators, exact oracle — wired together the
 //! way a deployment would use it.
 
-use rfa::engine::{run_q1, SumBackend};
+use rfa::engine::{lineitem_table, q1_plan, ExecOptions, PlanResult, SumBackend};
 use rfa::prelude::*;
 use rfa::workloads::{GroupedPairs, Lineitem, SplitMix64, ValueDist};
+
+/// TPC-H Q1 through the engine, serial. Columns: SUMs of quantity, price,
+/// discounted price and charge, three AVGs, then COUNT.
+fn run_q1(t: &Lineitem, backend: SumBackend) -> PlanResult {
+    q1_plan()
+        .execute(&lineitem_table(t), backend, &ExecOptions::serial())
+        .unwrap()
+}
 
 /// The paper's data-independence requirement, end to end: physically
 /// permuting the stored data must not change any reproducible group sum,
@@ -99,24 +107,32 @@ fn accuracy_against_oracle_end_to_end() {
 #[test]
 fn tpch_q1_cross_backend_consistency() {
     let t = Lineitem::generate(50_000, 3);
-    let (unbuf, _) = run_q1(&t, SumBackend::ReproUnbuffered).unwrap();
-    let (buf, _) = run_q1(&t, SumBackend::ReproBuffered { buffer_size: 256 }).unwrap();
-    let (sorted, _) = run_q1(&t, SumBackend::SortedDouble).unwrap();
-    let (plain, _) = run_q1(&t, SumBackend::Double).unwrap();
-    assert_eq!(unbuf.len(), 4);
-    for (((u, b), s), d) in unbuf.iter().zip(&buf).zip(&sorted).zip(&plain) {
+    let unbuf = run_q1(&t, SumBackend::ReproUnbuffered);
+    let buf = run_q1(&t, SumBackend::ReproBuffered { buffer_size: 256 });
+    let sorted = run_q1(&t, SumBackend::SortedDouble);
+    let plain = run_q1(&t, SumBackend::Double);
+    assert_eq!(unbuf.keys.len(), 4);
+    let (qty, disc_price, charge, count) = (0, 2, 3, 7);
+    for g in 0..unbuf.keys.len() {
+        let sum = |r: &PlanResult, c: usize| r.columns[c].f64s()[g];
         // Repro unbuffered == repro buffered, bitwise.
-        assert_eq!(u.sum_disc_price.to_bits(), b.sum_disc_price.to_bits());
-        assert_eq!(u.sum_charge.to_bits(), b.sum_charge.to_bits());
+        assert_eq!(
+            sum(&unbuf, disc_price).to_bits(),
+            sum(&buf, disc_price).to_bits()
+        );
+        assert_eq!(sum(&unbuf, charge).to_bits(), sum(&buf, charge).to_bits());
         // All four agree numerically to float accuracy.
         for (x, y) in [
-            (u.sum_qty, s.sum_qty),
-            (u.sum_charge, s.sum_charge),
-            (u.sum_charge, d.sum_charge),
+            (sum(&unbuf, qty), sum(&sorted, qty)),
+            (sum(&unbuf, charge), sum(&sorted, charge)),
+            (sum(&unbuf, charge), sum(&plain, charge)),
         ] {
             assert!((x - y).abs() <= 1e-9 * x.abs().max(1.0));
         }
-        assert_eq!(u.count, d.count);
+        assert_eq!(
+            unbuf.columns[count].u64s()[g],
+            plain.columns[count].u64s()[g]
+        );
     }
 }
 
@@ -226,8 +242,8 @@ fn special_values_through_the_stack() {
 fn tpch_q1_aggregates_match_oracle() {
     use rfa::workloads::tpch::Q1_SHIPDATE_CUTOFF;
     let t = Lineitem::generate(30_000, 9);
-    let (rows, _) = run_q1(&t, SumBackend::ReproBuffered { buffer_size: 128 }).unwrap();
-    for row in &rows {
+    let r = run_q1(&t, SumBackend::ReproBuffered { buffer_size: 128 });
+    for (row, &gid) in r.keys.iter().enumerate() {
         let mut qty = ExactSum::new();
         let mut price = ExactSum::new();
         let mut disc_price = ExactSum::new();
@@ -237,8 +253,7 @@ fn tpch_q1_aggregates_match_oracle() {
             if t.shipdate[i] > Q1_SHIPDATE_CUTOFF {
                 continue;
             }
-            let (rf, ls) = Lineitem::decode_group(t.q1_group(i));
-            if (rf, ls) != (row.returnflag, row.linestatus) {
+            if Lineitem::encode_group(t.returnflag[i], t.linestatus[i]) as i64 != gid {
                 continue;
             }
             count += 1;
@@ -251,12 +266,13 @@ fn tpch_q1_aggregates_match_oracle() {
             disc_price.add(dp);
             charge.add(dp * (1.0 + t.tax[i]));
         }
-        assert_eq!(row.count, count);
-        assert_eq!(row.sum_qty, qty.round_f64()); // integral quantities: exact
+        let sum = |c: usize| r.columns[c].f64s()[row];
+        assert_eq!(r.columns[7].u64s()[row], count);
+        assert_eq!(sum(0), qty.round_f64()); // integral quantities: exact
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
-        assert!(close(row.sum_base_price, price.round_f64()));
-        assert!(close(row.sum_disc_price, disc_price.round_f64()));
-        assert!(close(row.sum_charge, charge.round_f64()));
+        assert!(close(sum(1), price.round_f64()));
+        assert!(close(sum(2), disc_price.round_f64()));
+        assert!(close(sum(3), charge.round_f64()));
     }
 }
 
